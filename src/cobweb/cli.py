@@ -276,13 +276,14 @@ def cmd_tile(args: argparse.Namespace) -> int:
             witness = exists_partition(
                 instance, jobs=args.jobs, node_budget=node_budget
             ).witness
+        exit_code = 3 if result.status == "inconclusive" else 0
     else:
         search = exists_partition(instance, jobs=args.jobs, node_budget=node_budget)
         verdict = search.status
         witness = search.witness
+        exit_code = 3 if verdict == "inconclusive" else 0
     obj["verdict"] = verdict
     lines.insert(0, verdict)
-    exit_code = 3 if verdict == "inconclusive" else 0
     if args.witness and witness is not None:
         obj["witness"] = witness_to_json(instance, witness)
         for b in witness:
@@ -409,6 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Integers print in full however long they are, so the interpreter's
+    # int-to-str digit limit (Python 3.11+) is lifted for this call only.
+    lift_digit_limit = hasattr(sys, "set_int_max_str_digits")
+    if lift_digit_limit:
+        saved_digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except SequenceSpecError as err:
@@ -420,6 +427,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if lift_digit_limit:
+            sys.set_int_max_str_digits(saved_digit_limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

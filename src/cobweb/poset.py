@@ -13,9 +13,10 @@ ascending within a level.  All matrix arithmetic is exact big-integer.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from .sequences import AdmissibleSequence
@@ -44,6 +45,7 @@ def _ilen(iterable) -> int:
 
 
 # --- exact matrix helpers ---------------------------------------------------
+# Generic algebra, kept as the test oracle for CobwebPoset's closed forms.
 
 def identity_rows(n: int) -> list[list[int]]:
     return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
@@ -207,10 +209,7 @@ class CobwebPoset:
         Complete bipartite covers make this the product of the level sizes.
         """
         self._check_span(from_level, to_level)
-        out = 1
-        for p in range(from_level, to_level + 1):
-            out *= self.level_sizes[p]
-        return out
+        return math.prod(self.level_sizes[from_level:to_level + 1])
 
     def _check_span(self, from_level: int, to_level: int) -> None:
         self._check_level(from_level)
@@ -223,21 +222,11 @@ class CobwebPoset:
     def _span_ranges(
         self, from_level: int, to_level: int, budget: int | None
     ) -> list[range]:
-        # Walk the covering relation vertex by vertex so the enumeration
-        # below rests on the poset's own covers, not on the size formula.
-        self._check_span(from_level, to_level)
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
-        predicted = 1
-        for p in range(from_level, to_level + 1):
-            predicted *= self.level_sizes[p]
+        predicted = self.count_max_chains(from_level, to_level)
         if predicted > budget:
             raise EnumerationBudgetError(predicted, budget)
-        for p in range(from_level, to_level):
-            nxt = self.level_vertices(p + 1)
-            for v in self.level_vertices(p):
-                if self.cover_successors(v) != nxt:
-                    raise AssertionError(f"covers of {v} are not the whole next level")
         return [range(1, self.level_sizes[p] + 1) for p in range(from_level, to_level + 1)]
 
     def enumerate_max_chains(
@@ -258,8 +247,8 @@ class CobwebPoset:
     ) -> int:
         """Chain count obtained by exhaustive one-by-one enumeration.
 
-        Independent of count_max_chains: after the cover structure is
-        verified vertex by vertex, every chain is visited and counted.
+        Independent of count_max_chains, which multiplies the level
+        sizes: here every chain is generated and counted one at a time.
         """
         ranges = self._span_ranges(from_level, to_level, budget)
         return _ilen(itertools.product(*ranges))
@@ -267,22 +256,17 @@ class CobwebPoset:
     def count_chains_of_length(self, t: int) -> int:
         """Strictly increasing chains with exactly t elements.
 
-        Total entry sum of (zeta - I)^(t-1); t = 1 counts the vertices.
+        A chain picks t distinct levels and one vertex on each, so the
+        count is the elementary symmetric polynomial e_t of the level
+        sizes; t = 1 counts the vertices.
         """
         if t < 1:
             raise ValueError(f"chain length must be >= 1, got {t}")
-        n = self.vertex_count
-        if t == 1:
-            return n
-        zeta = [list(row) for row in self.zeta_matrix().rows]
-        strict = [
-            [c if j != i else 0 for j, c in enumerate(row)]
-            for i, row in enumerate(zeta)
-        ]
-        power = strict
-        for _ in range(t - 2):
-            power = mat_mul(power, strict)
-        return sum(sum(row) for row in power)
+        e = [1] + [0] * t  # e[i] = e_i of the level sizes seen so far
+        for size in self.level_sizes:
+            for i in range(t, 0, -1):
+                e[i] += e[i - 1] * size
+        return e[t]
 
     def count_chains_of_length_bruteforce(self, t: int) -> int:
         """DFS twin of count_chains_of_length, for cross-checking."""
@@ -304,25 +288,35 @@ class CobwebPoset:
 
     # --- incidence algebra ---------------------------------------------------
 
+    def _level_matrix(self, above: Callable[[int, int], int]) -> IncidenceMatrix:
+        """Level-major matrix: 1 on the diagonal, 0 within and below a
+        vertex's level, and above(p, q) from level p to each vertex of q > p."""
+        rows = []
+        for p, size in enumerate(self.level_sizes):
+            start = self._starts[p]
+            tail = []
+            for q in range(p + 1, self.max_level + 1):
+                tail += [above(p, q)] * self.level_sizes[q]
+            for j in range(size):
+                row = [0] * (start + size) + tail
+                row[start + j] = 1
+                rows.append(tuple(row))
+        return IncidenceMatrix(self.vertices, tuple(rows))
+
     def zeta_matrix(self) -> IncidenceMatrix:
         """The zeta matrix: entry (u, v) is 1 iff u <= v, level-major order.
 
         Unit upper-triangular because the order is a linear extension.
         """
-        verts = self.vertices
-        rows = []
-        for p in range(self.max_level + 1):
-            size = self.level_sizes[p]
-            start = self._starts[p]
-            tail = self.vertex_count - self._starts[p + 1]
-            for j in range(size):
-                row = [0] * start + [0] * size + [1] * tail
-                row[start + j] = 1
-                rows.append(tuple(row))
-        return IncidenceMatrix(verts, tuple(rows))
+        return self._level_matrix(lambda p, q: 1)
 
     def mobius_matrix(self) -> IncidenceMatrix:
-        """The Mobius matrix: the exact inverse of zeta (back-substitution)."""
-        zeta = self.zeta_matrix()
-        inv = invert_unit_upper([list(r) for r in zeta.rows])
-        return IncidenceMatrix(zeta.order, tuple(tuple(r) for r in inv))
+        """The Mobius matrix (the inverse of zeta) in closed form.
+
+        The levels are antichains stacked as an ordinal sum, so for u on
+        level p and v on level q > p, mu(u, v) = (-1)^(q-p) prod_{p<i<q} (F_i - 1).
+        """
+        sizes = self.level_sizes
+        return self._level_matrix(
+            lambda p, q: (-1) ** (q - p) * math.prod(f - 1 for f in sizes[p + 1:q])
+        )

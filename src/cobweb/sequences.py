@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .fnomial import FNomialTable, NonIntegralError
-
 
 class SequenceSpecError(ValueError):
     """A sequence spec string that does not match the grammar."""
@@ -154,17 +152,20 @@ def is_cobweb_admissible(seq: AdmissibleSequence, bound: int) -> AdmissibilityVe
 
     Scans n ascending, k ascending within n, and stops at the first
     non-integral coefficient; the verdict carries the reduced quotient.
-    A pass is only a statement about the scanned range.
+    Each row is walked with (n k)_F = (n k-1)_F * F_{n-k+1} / F_k, so the
+    first step that leaves a remainder is the first non-integral
+    coefficient.  A pass is only a statement about the scanned range.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    table = FNomialTable(seq, bound)
-    for n in range(bound + 1):
-        for k in range(n + 1):
-            try:
-                table.fnomial(n, k)
-            except NonIntegralError as err:
-                return AdmissibilityVerdict(bound, n - 1, (n, k), err.fraction)
+    f = seq.values(bound)  # a list that ends before bound is an error, not a verdict
+    for n in range(1, bound + 1):
+        c = 1
+        for k in range(1, n + 1):
+            num = c * f[n - k + 1]
+            c, r = divmod(num, f[k])
+            if r:
+                return AdmissibilityVerdict(bound, n - 1, (n, k), Fraction(num, f[k]))
     return AdmissibilityVerdict(bound, bound, None, None)
 
 

@@ -1,9 +1,12 @@
 """Exit codes, text formats, and JSON schema of the command line."""
+import functools
 import json
 import pathlib
+import sys
 
 import pytest
 
+from cobweb import FNomialTable, parse_sequence
 from cobweb.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -67,6 +70,9 @@ def test_admissible_text(capsys):
     code, out, _ = run(capsys, "admissible", "list:[2,3,4,5]", "--max", "4")
     assert code == 0
     assert out == "not admissible: (2 1)_F = 3/2; admissible up to 1\n"
+    code, out, err = run(capsys, "admissible", "list:[2,3,4,5]", "--max", "10")
+    assert (code, out) == (1, "")
+    assert "defines values for n <= 4" in err
 
 
 def test_admissible_json(capsys):
@@ -213,6 +219,18 @@ def test_tile_inconclusive_exit_3(capsys):
     assert out.splitlines()[0] == "inconclusive"
 
 
+def test_tile_incomplete_count_exit_3(capsys):
+    # a partition turns up before the node budget runs out, so the verdict
+    # is "yes", but the count is only a lower bound
+    code, out, _ = run(capsys, "tile", "nat", "1", "3", "--count", "--node-budget", "10")
+    assert (code, out) == (3, "yes\ncount: >=3 (search incomplete)\n")
+    code, out, _ = run(
+        capsys, "tile", "nat", "1", "3", "--count", "--node-budget", "10", "--format", "json"
+    )
+    assert code == 3
+    assert json.loads(out)["count"] == {"status": "inconclusive", "value": 3}
+
+
 def test_tile_budget_error_exit_3(capsys):
     code, _, err = run(capsys, "tile", "gauss:2", "0", "9")
     assert code == 3
@@ -259,6 +277,44 @@ def test_bell_classic_dobinski_range(capsys):
     code, _, err = run(capsys, "bell-classic", "25", "--dobinski", "1e-9")
     assert code == 1
     assert "error" in err
+
+
+@functools.cache
+def bell_by_triangle(n):
+    """B_n from the Bell triangle, one row at a time (independent of bell_exact)."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (("fnomial", "fib", "300", "150"), "value",
+         lambda: FNomialTable(parse_sequence("fib"), 300).fnomial(300, 150)),
+        (("bell-classic", "2000"), "bell", lambda: bell_by_triangle(2000)),
+    ],
+    ids=["fnomial", "bell-classic"],
+)
+def test_full_decimal_past_int_str_digit_limit(capsys, argv, key, value, fmt):
+    """Answers over the interpreter's 4300-digit int-to-str limit print in full,
+    and the caller's own limit is back in place afterwards."""
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert get_limit() == limit
+    digits = out.strip() if fmt == "text" else json.loads(out, parse_int=str)[key]
+    expected = value()
+    assert digits.isdigit() and len(digits) > 4300
+    assert 10 ** (len(digits) - 1) <= expected < 10 ** len(digits)
+    assert int(digits[:30]) == expected // 10 ** (len(digits) - 30)
+    assert int(digits[-30:]) == expected % 10 ** 30
 
 
 def test_no_scientific_notation_in_exact_output(capsys):

@@ -51,8 +51,12 @@ def test_bad_arguments():
 
 
 def test_whitney_second_sums_to_size():
-    for n in range(1, 11):
+    for n in range(13):
         for k in range(n + 1):
+            els = grid_elements(k, n)
+            for r in range(-2, k + n + 2):
+                count = sum(1 for l, m in els if l + m - 1 == r)
+                assert whitney_second(k, n, r) == count, (k, n, r)
             total = sum(whitney_second(k, n, r) for r in range(k + n))
             assert total == grid_size(k, n) == bell_like(k, n)
 
@@ -70,12 +74,24 @@ def test_whitney_first_small_grid():
 
 
 def test_whitney_first_alternating_sum():
-    """The grid is the single interval [(0,1), (k,n)], so mu sums to zero."""
-    for n in range(1, 9):
+    """The grid is the single interval [(0,1), (k,n)], so mu sums to zero.
+
+    Each value is also checked against the bottom row of the Mobius
+    matrix obtained by inverting the grid's zeta matrix.
+    """
+    for n in range(13):
         for k in range(n + 1):
+            grid = LayerGridPoset(k, n)
+            bottom_row = ()
+            if grid.elements:
+                bottom_row = grid.mobius_matrix().rows[grid.elements.index(grid.bottom)]
+            for r in range(-2, k + n + 2):
+                expected = sum(
+                    c for (l, m), c in zip(grid.elements, bottom_row) if l + m - 1 == r
+                )
+                assert whitney_first(k, n, r) == expected, (k, n, r)
             total = sum(whitney_first(k, n, r) for r in range(k + n))
-            expected = 1 if grid_size(k, n) == 1 else 0
-            assert total == expected
+            assert total == (1 if grid_size(k, n) == 1 else 0)
 
 
 def test_grid_poset_order():

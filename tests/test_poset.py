@@ -143,13 +143,19 @@ def test_zeta_entries_agree_with_leq():
 
 @pytest.mark.parametrize(
     "spec,levels",
-    [("nat", 4), ("fib", 5), ("gauss:2", 4), ("const:3", 3), ("even1", 4), ("odd", 4)],
+    [
+        ("nat", 4), ("fib", 5), ("gauss:2", 4), ("const:3", 3), ("even1", 4), ("odd", 4),
+        ("nat", 7), ("fib", 7), ("gauss:2", 6), ("const:1", 7), ("odd", 7), ("div3", 7),
+        ("list:[2,3,1,4,1,5,2]", 7),
+    ],
 )
 def test_mobius_inverts_zeta(spec, levels):
+    """The closed-form Mobius rows against generic back-substitution."""
     p = poset(spec, levels)
     z = [list(r) for r in p.zeta_matrix().rows]
     m = [list(r) for r in p.mobius_matrix().rows]
     n = p.vertex_count
+    assert m == invert_unit_upper(z)
     assert mat_mul(z, m) == identity_rows(n)
     assert mat_mul(m, z) == identity_rows(n)
 
@@ -160,6 +166,12 @@ def test_mobius_values_on_covers():
     for v in p.level_vertices(4):
         assert m.entry((2, 3), v) == -1  # covers
     assert m.entry((1, 4), (2, 4)) == 0  # same level
+    # const:1 is a chain: mu is -1 on covers and 0 past them
+    chain = poset("const:1", 7)
+    m = chain.mobius_matrix()
+    for i, u in enumerate(chain.vertices):
+        for v in chain.vertices[i + 1:]:
+            assert m.entry(u, v) == (-1 if v[1] == u[1] + 1 else 0)
 
 
 def test_invert_unit_upper_rejects_non_unit():
@@ -225,7 +237,8 @@ def test_span_validation():
 
 
 @pytest.mark.parametrize(
-    "spec,levels", [("nat", 3), ("fib", 4), ("gauss:2", 3), ("const:2", 3)]
+    "spec,levels",
+    [("nat", 3), ("fib", 4), ("gauss:2", 3), ("const:2", 3), ("fib", 7), ("list:[2,1,3,1]", 4)],
 )
 def test_chains_of_length_vs_bruteforce(spec, levels):
     p = poset(spec, levels)

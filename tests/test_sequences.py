@@ -3,8 +3,12 @@ import math
 
 import pytest
 
+from fractions import Fraction
+
 from cobweb import (
     AdmissibilityVerdict,
+    FNomialTable,
+    NonIntegralError,
     SequenceSpecError,
     gcd_morphism_failures,
     is_cobweb_admissible,
@@ -116,6 +120,18 @@ def test_empty_list_allowed_but_unusable_past_zero():
 
 # --- admissibility scans -----------------------------------------------------
 
+def scan_by_factorials(seq, bound):
+    """Oracle: divide F-factorials for every (n, k) in scan order."""
+    table = FNomialTable(seq, bound)
+    for n in range(bound + 1):
+        for k in range(n + 1):
+            try:
+                table.fnomial(n, k)
+            except NonIntegralError as err:
+                return AdmissibilityVerdict(bound, n - 1, (n, k), err.fraction)
+    return AdmissibilityVerdict(bound, bound, None, None)
+
+
 @pytest.mark.parametrize(
     "spec",
     ["nat", "fib", "gauss:2", "gauss:3", "const:1", "const:2", "const:7", "even1", "div3"],
@@ -125,6 +141,7 @@ def test_admissible_families(spec):
     assert verdict.admissible
     assert verdict.admissible_up_to == 20
     assert verdict.first_failure is None
+    assert verdict == scan_by_factorials(parse_sequence(spec), 20)
 
 
 def test_list_2345_fails_at_2_1():
@@ -143,6 +160,26 @@ def test_odd_fails_at_4_2():
     assert verdict.first_failure == (4, 2)
     assert str(verdict.failure_quotient) == "35/3"
     assert verdict.admissible_up_to == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["odd", "list:[2,3,4,5]", "list:[1,1,2,3,5,8,13]", "list:[1,2,2,4,3,6]", "list:[3,6,9]"],
+)
+def test_admissibility_scan_matches_factorial_oracle(spec):
+    """Row-walk verdicts, failure quotients and bound errors equal the oracle's."""
+    for bound in range(12):
+        try:
+            expected = scan_by_factorials(parse_sequence(spec), bound)
+        except ValueError as err:
+            with pytest.raises(ValueError) as info:
+                is_cobweb_admissible(parse_sequence(spec), bound)
+            assert str(info.value) == str(err)
+            continue
+        verdict = is_cobweb_admissible(parse_sequence(spec), bound)
+        assert verdict == expected, (spec, bound)
+        if not verdict.admissible:
+            assert isinstance(verdict.failure_quotient, Fraction)
 
 
 def test_admissibility_verdict_shape():
