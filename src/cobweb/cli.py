@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .diagonal import bell_sequence, whitney
+from .diagonal import bell_sequence, whitney_rows
 from .dobinski import bell_dobinski, bell_exact
 from .fnomial import FNomialTable, NonIntegralError
 from .layer_grid import (
@@ -204,12 +204,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def cmd_diagonal(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.seq)
-    bells = bell_sequence(seq, args.n)
     triangle = None
     if args.triangle:
-        triangle = [
-            [whitney(n, k, seq) for k in range(n // 2 + 1)] for n in range(args.n + 1)
-        ]
+        triangle = list(whitney_rows(seq, args.n))
+        bells = [sum(row) for row in triangle]
+    else:
+        bells = bell_sequence(seq, args.n)
     if args.format == "json":
         obj = {"sequence": seq.name, "n": args.n, "bells": bells}
         if triangle is not None:

@@ -1,6 +1,8 @@
 """Stirling set numbers, Bell numbers, and the Dobinski series check.
 
-The exact side is the classical triangle recurrence; the approximate
+The exact side is the classical triangle recurrence, run in place on a
+single row, so B_n costs one row of memory rather than the whole
+triangle (``StirlingTable`` keeps every row); the approximate
 side evaluates e^-1 * sum k^n / k! with extended-precision decimals and
 an a-posteriori truncation bound, so a 1e-9 relative tolerance is
 meaningful through n = 20.
@@ -49,16 +51,31 @@ class StirlingTable:
         return sum(self._rows[n])
 
 
+def _stirling_row(n: int) -> list[int]:
+    """[S(n, 0), ..., S(n, n)]: the triangle recurrence run in place on one row.
+
+    Step m rewrites the row from the right, so row[k - 1] still holds
+    S(m-1, k-1) when S(m, k) = k S(m-1, k) + S(m-1, k-1) is formed.
+    """
+    row = [1]
+    for m in range(1, n + 1):
+        row.append(0)
+        for k in range(m, 0, -1):
+            row[k] = k * row[k] + row[k - 1]
+        row[0] = 0
+    return row
+
+
 def stirling2(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
-    return StirlingTable(n).stirling2(n, k)
+    return _stirling_row(n)[k] if k <= n else 0
 
 
 def bell_exact(n: int) -> int:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return StirlingTable(n).bell_exact(n)
+    return sum(_stirling_row(n))
 
 
 def bell_dobinski(n: int, rel_tol: float = 1e-9) -> float:

@@ -6,15 +6,24 @@ candidate block is a product set: a root vertex at level k together
 with one subset per level k+1..n whose sizes are a permutation of
 <F_1, ..., F_m>, m = n - k.  Every block therefore contains exactly
 m_F! chains, and a partition of the universe into blocks is an exact
-cover.  The search is a deterministic DFS over block bitmasks with a
-min-branching pivot; budgets turn oversized work into an explicit
-"inconclusive" outcome instead of an open-ended run.
+cover.
+
+The search is an iterative Algorithm X.  It keeps a live-block count
+per chain and an alive flag per block, updates them when it selects a
+block and restores them from a trail when it backtracks.  Each node
+branches on the uncovered chain with the fewest live blocks, the lowest
+chain index winning ties, and tries its blocks in ascending index.  The
+search runs on an explicit stack, so its depth (blocks per partition)
+is bounded by memory, not by the interpreter's recursion limit.
+Budgets turn oversized work into an explicit "inconclusive" outcome
+instead of an open-ended run.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -28,6 +37,10 @@ DEFAULT_BLOCK_BUDGET = 1_000_000
 DEFAULT_NODE_BUDGET = 1_000_000
 
 SIGMA_POLICIES = ("identity", "all")
+
+# At most this many block indices (about 8 bytes each) are kept in the
+# search's conflict lists, whatever the instance.
+_CONFLICT_CACHE_ENTRIES = 1 << 22
 
 
 class TilingBudgetError(RuntimeError):
@@ -179,64 +192,153 @@ def _chain_blocks(instance: TilingInstance) -> list[tuple[int, ...]]:
     return [tuple(bs) for bs in per_chain]
 
 
-def _pivot(covered: int, n_chains: int, masks: list[int], chain_blocks) -> tuple[int, list[int]]:
-    """The uncovered chain with the fewest compatible blocks (min branching)."""
-    best_c = -1
-    best: list[int] | None = None
-    for c in range(n_chains):
-        if covered >> c & 1:
-            continue
-        opts = [b for b in chain_blocks[c] if not masks[b] & covered]
-        if best is None or len(opts) < len(best):
-            best_c, best = c, opts
-            if not opts:
-                break
-    assert best is not None
-    return best_c, best
+class _ExactCover:
+    """The search tables of one instance, built once and shared by every branch.
 
+    A live block is one disjoint from the partial cover.  Selecting a
+    block kills every live block that meets it, itself included, and
+    decrements the live counts of their chains; backtracking revives
+    the killed blocks from the trail.  A covered chain's count is offset
+    by ``covered``, more than any live count, so one ``min`` finds both
+    the pivot and a complete cover.
+    """
 
-class _Search:
-    """One DFS run; a node is one visit to a partial cover."""
+    def __init__(self, instance: TilingInstance):
+        self.block_chains = [block.chains for block in instance.blocks]
+        self.chain_blocks = _chain_blocks(instance)
+        # Conflict lists of selected blocks, kept while they fit in
+        # _CONFLICT_CACHE_ENTRIES; past that they are rebuilt per select.
+        self.conflicts: list[tuple[int, ...] | None] = [None] * len(self.block_chains)
+        self.cache_room = _CONFLICT_CACHE_ENTRIES
 
-    def __init__(self, masks, chain_blocks, n_chains, full, budget, cap, want_witness):
-        self.masks = masks
-        self.chain_blocks = chain_blocks
-        self.n_chains = n_chains
-        self.full = full
-        self.budget = budget
-        self.cap = cap  # None: count everything; 1 with want_witness: existence
-        self.want_witness = want_witness
-        self.count = 0
-        self.witness: tuple[int, ...] | None = None
-        self.exhausted = False
-        self.nodes = 0
+    def root_branches(self) -> tuple[int, ...]:
+        """The blocks through the root pivot: the first chain of fewest blocks."""
+        counts = [len(bs) for bs in self.chain_blocks]
+        return self.chain_blocks[counts.index(min(counts))]
 
-    def run(self, covered: int, chosen: list[int]) -> None:
-        if self.exhausted or (self.cap is not None and self.count >= self.cap):
-            return
-        self.nodes += 1
-        if self.nodes > self.budget:
-            self.exhausted = True
-            return
-        if covered == self.full:
-            self.count += 1
-            if self.want_witness and self.witness is None:
-                self.witness = tuple(chosen)
-            return
-        _, opts = _pivot(covered, self.n_chains, self.masks, self.chain_blocks)
-        for b in opts:
+    def conflicts_of(self, b: int) -> tuple[int, ...]:
+        """Every block that shares a chain with block b, b included."""
+        con = self.conflicts[b]
+        if con is None:
+            con = tuple(set().union(*[self.chain_blocks[c] for c in self.block_chains[b]]))
+            if len(con) <= self.cache_room:
+                self.cache_room -= len(con)
+                self.conflicts[b] = con
+        return con
+
+    def search(
+        self, first: int, budget: int, cap: int | None, want_witness: bool
+    ) -> tuple[int, tuple[int, ...] | None, bool, int]:
+        """DFS below the root branch ``first``: (count, witness, exhausted, nodes).
+
+        A node is one visit to a partial cover.  Its pivot is the
+        uncovered chain with the fewest live blocks, the lowest chain
+        index winning ties, and its options run in ascending block
+        index.  The search stops when it has visited ``budget`` nodes
+        (exhausted), when ``count`` reaches ``cap``, or when the tree
+        is done.
+        """
+        block_chains = self.block_chains
+        chain_blocks = self.chain_blocks
+        conflicts = self.conflicts
+        covered = len(block_chains) + 1
+        live = [len(bs) for bs in chain_blocks]
+        alive = bytearray(b"\x01") * len(block_chains)
+        trail: list[list[int]] = []  # the blocks each selection killed
+        chosen: list[int] = []
+        frames = []  # per open node: an iterator over its untried options
+        count = nodes = 0
+        witness = None
+        b = first
+        while True:
+            # Select b: kill every live block that meets it, b included.
+            killed = [x for x in conflicts[b] or self.conflicts_of(b) if alive[x]]
+            for x in killed:
+                alive[x] = 0
+                for c in block_chains[x]:
+                    live[c] -= 1
+            for c in block_chains[b]:
+                live[c] += covered
+            trail.append(killed)
             chosen.append(b)
-            self.run(covered | self.masks[b], chosen)
-            chosen.pop()
-            if self.exhausted or (self.cap is not None and self.count >= self.cap):
+
+            nodes += 1
+            if nodes > budget:
+                return count, witness, True, nodes
+            low = min(live)
+            if 0 < low < covered:
+                options = iter([x for x in chain_blocks[live.index(low)] if alive[x]])
+                frames.append(options)
+                b = next(options)
+            else:
+                if low:  # every chain is covered
+                    count += 1
+                    if want_witness and witness is None:
+                        witness = tuple(chosen)
+                    if cap is not None and count >= cap:
+                        break
+                # Undo selections up to the deepest node with an untried option.
+                while frames:
+                    for x in trail.pop():
+                        alive[x] = 1
+                        for c in block_chains[x]:
+                            live[c] += 1
+                    for c in block_chains[chosen.pop()]:
+                        live[c] -= covered
+                    b = next(frames[-1], -1)
+                    if b >= 0:
+                        break
+                    frames.pop()
+                else:
+                    break
+        return count, witness, False, nodes
+
+
+# A pool worker's copy of the search tables, installed once by _init_worker.
+_worker_cover: _ExactCover | None = None
+
+
+def _init_worker(cover: _ExactCover) -> None:
+    global _worker_cover
+    _worker_cover = cover
+
+
+def _worker_search(*args) -> tuple[int, tuple[int, ...] | None, bool, int]:
+    return _worker_cover.search(*args)
+
+
+def _branch_results(cover: _ExactCover, branches, args: tuple, jobs: int):
+    """Yield each root branch's search outcome, in branch order.
+
+    With jobs > 1 a pool keeps up to ``jobs`` branches in flight; once a
+    branch reports a witness (args[2] asks for one), no later branch is
+    handed out, since the caller stops at the first witness in order.
+    """
+    if jobs == 1:
+        for b in branches:
+            yield cover.search(b, *args)
+        return
+    want_witness = args[2]
+    workers = min(jobs, len(branches))
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(cover,)) as pool:
+        pending: dict = {}  # future -> branch position
+        done: dict[int, tuple] = {}
+        limit = len(branches)
+        submitted = 0
+        for i in range(len(branches)):
+            if i >= limit:
                 return
-
-
-def _branch_task(args) -> tuple[int, tuple[int, ...] | None, bool, int]:
-    masks, chain_blocks, n_chains, full, first_block, budget, cap, want_witness = args
-    search = _Search(masks, chain_blocks, n_chains, full, budget, cap, want_witness)
-    search.run(masks[first_block], [first_block])
-    return search.count, search.witness, search.exhausted, search.nodes
+            while i not in done:
+                while submitted < limit and len(pending) < workers:
+                    pending[pool.submit(_worker_search, branches[submitted], *args)] = submitted
+                    submitted += 1
+                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    j = pending.pop(future)
+                    done[j] = future.result()
+                    if want_witness and done[j][1] is not None:
+                        limit = min(limit, j + 1)
+            yield done.pop(i)
 
 
 def _solve(
@@ -245,12 +347,14 @@ def _solve(
     jobs: int,
     node_budget: int | None,
     want_witness: bool,
-) -> tuple[int, tuple[int, ...] | None, bool, int, bool]:
-    """Shared driver: returns (count, witness, any_exhausted, nodes, definitive_no).
+) -> tuple[int, tuple[int, ...] | None, bool, int]:
+    """Shared driver: returns (count, witness, any_exhausted, nodes).
 
     The search always branches once at the root pivot and solves each
-    branch with an equal share of the node budget, so serial and
-    parallel runs visit identical trees and agree on every outcome.
+    branch with an equal share of the node budget, taking the branches
+    in order and stopping at the first witness or once the count reaches
+    the cap.  Parallel runs consume the same outcomes in the same order,
+    so serial and parallel runs agree on every field.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -259,49 +363,29 @@ def _solve(
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
 
-    n_chains = instance.universe_size
-    if n_chains % instance.block_size:
+    if instance.universe_size % instance.block_size:
         raise AssertionError(
             "universe size must be a multiple of the block size for an admissible sequence"
         )
-    masks = [0] * len(instance.blocks)
-    for b, block in enumerate(instance.blocks):
-        mask = 0
-        for c in block.chains:
-            mask |= 1 << c
-        masks[b] = mask
-    chain_blocks = _chain_blocks(instance)
-    full = (1 << n_chains) - 1
-
-    _, branches = _pivot(0, n_chains, masks, chain_blocks)
+    cover = _ExactCover(instance)
+    branches = cover.root_branches()
     if not branches:
-        return 0, None, False, 1, True
+        return 0, None, False, 1
 
     per_branch = max(1, node_budget // len(branches))
-    tasks = [
-        (masks, chain_blocks, n_chains, full, b, per_branch, cap, want_witness)
-        for b in branches
-    ]
-
-    results: list[tuple[int, tuple[int, ...] | None, bool, int]] = []
-    if jobs == 1:
-        total = 0
-        for task in tasks:
-            results.append(_branch_task(task))
-            total += results[-1][0]
-            if want_witness and results[-1][1] is not None:
+    count, witness, exhausted, nodes = 0, None, False, 1
+    results = _branch_results(cover, branches, (per_branch, cap, want_witness), jobs)
+    with closing(results):
+        for b_count, b_witness, b_exhausted, b_nodes in results:
+            count += b_count
+            exhausted = exhausted or b_exhausted
+            nodes += b_nodes
+            if b_witness is not None:
+                witness = b_witness
                 break
-            if cap is not None and total >= cap:
+            if cap is not None and count >= cap:
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_branch_task, tasks))
-
-    count = sum(r[0] for r in results)
-    witness = next((r[1] for r in results if r[1] is not None), None)
-    exhausted = any(r[2] for r in results)
-    nodes = 1 + sum(r[3] for r in results)
-    return count, witness, exhausted, nodes, False
+    return count, witness, exhausted, nodes
 
 
 def exists_partition(
@@ -315,7 +399,7 @@ def exists_partition(
     the whole tree fit inside the node budget, otherwise the verdict is
     "inconclusive".
     """
-    count, witness, exhausted, nodes, _ = _solve(
+    count, witness, exhausted, nodes = _solve(
         instance, cap=1, jobs=jobs, node_budget=node_budget, want_witness=True
     )
     if count >= 1:
@@ -339,7 +423,7 @@ def count_partitions(
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    count, _, exhausted, nodes, _ = _solve(
+    count, _, exhausted, nodes = _solve(
         instance, cap=cap, jobs=jobs, node_budget=node_budget, want_witness=False
     )
     if cap is not None and count >= cap:

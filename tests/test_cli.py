@@ -231,6 +231,21 @@ def test_tile_incomplete_count_exit_3(capsys):
     assert json.loads(out)["count"] == {"status": "inconclusive", "value": 3}
 
 
+@pytest.mark.parametrize("n", [41, 61])
+def test_tile_search_deeper_than_the_recursion_limit(capsys, n):
+    # Singleton blocks only: the search descends one level per chain,
+    # 1640 and 3660 levels, more than the interpreter's recursion limit.
+    limit = sys.getrecursionlimit()
+    code, out, err = run(capsys, "tile", "nat", str(n - 1), str(n))
+    assert (code, out, err) == (0, "yes\n", "")
+    code, out, err = run(capsys, "tile", "nat", str(n - 1), str(n), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "yes"
+    assert doc["universe"] == doc["candidate_blocks"] > limit
+    assert sys.getrecursionlimit() == limit
+
+
 def test_tile_budget_error_exit_3(capsys):
     code, _, err = run(capsys, "tile", "gauss:2", "0", "9")
     assert code == 3

@@ -3,7 +3,16 @@ from functools import lru_cache
 
 import pytest
 
-from cobweb import DiagonalPoset, FNomialTable, bell, bell_sequence, parse_sequence, whitney
+from cobweb import (
+    DiagonalPoset,
+    FNomialTable,
+    NonIntegralError,
+    bell,
+    bell_sequence,
+    parse_sequence,
+    whitney,
+)
+from cobweb.diagonal import whitney_rows
 
 
 def test_whitney_vanishes_past_half():
@@ -21,6 +30,41 @@ def test_whitney_is_a_shifted_fnomial():
     for n in range(16):
         for k in range(n // 2 + 1):
             assert whitney(n, k, fib) == table.fnomial(n - k, k)
+
+
+def table_rows(seq, n_max):
+    """The triangle from F-factorial quotients, in n-then-k order."""
+    table = FNomialTable(seq, n_max)
+    return [[table.fnomial(n - k, k) for k in range(n // 2 + 1)] for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("spec", ["nat", "fib", "gauss:2", "gauss:3", "const:3"])
+def test_whitney_rows_match_factorial_quotients(spec):
+    seq = parse_sequence(spec)
+    rows = list(whitney_rows(seq, 30))
+    assert rows == table_rows(seq, 30)
+    assert bell_sequence(seq, 30) == [sum(row) for row in rows]
+    assert rows[30] == [whitney(30, k, seq) for k in range(16)]
+
+
+# In the last two, scanning F-nomial rows m-then-k would meet (4 2) and
+# (6 3) first; n-then-k order meets (5 1) and (8 1).
+@pytest.mark.parametrize(
+    "spec", ["list:[2,3,4,5]", "list:[2,6,2,4,1,3]", "list:[2,4,4,2,4,6,2,1,6]"]
+)
+def test_first_non_integral_matches_factorial_order(spec):
+    """The recurrence reports the coefficient that n-then-k evaluation meets first."""
+    seq = parse_sequence(spec)
+    n_max = seq.length
+    with pytest.raises(NonIntegralError) as expected:
+        table_rows(seq, n_max)
+    with pytest.raises(NonIntegralError) as got:
+        bell_sequence(seq, n_max)
+    assert (got.value.n, got.value.k, got.value.fraction) == (
+        expected.value.n,
+        expected.value.k,
+        expected.value.fraction,
+    )
 
 
 def test_whitney_frozen_values():

@@ -1,5 +1,6 @@
 """Stirling triangle, exact Bell numbers, and the Dobinski series."""
 import math
+import tracemalloc
 
 import pytest
 
@@ -38,6 +39,29 @@ def test_stirling_against_inclusion_exclusion():
 
 def test_bell_exact_values():
     assert [bell_exact(n) for n in range(11)] == BELL
+
+
+def test_single_row_matches_the_table():
+    """bell_exact and stirling2 keep one row; the full table is their oracle."""
+    table = StirlingTable(200)
+    for n in range(201):
+        assert bell_exact(n) == table.bell_exact(n)
+    for n in range(0, 201, 17):
+        assert [stirling2(n, k) for k in range(n + 2)] == [
+            table.stirling2(n, k) for k in range(n + 2)
+        ]
+
+
+def test_bell_exact_memory_is_one_row():
+    # The whole triangle up to n = 1000 peaks above 200 MB; one row needs
+    # under 1 MB.
+    tracemalloc.start()
+    try:
+        bell_exact(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def test_row_sums_are_bell():

@@ -3,15 +3,20 @@
 Expected counts live in fixtures/tiling/*.json, stamped by the solver's
 first run and treated as regression values from then on.
 """
+import dataclasses
+import functools
 import itertools
 import json
 import math
 import pathlib
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cobweb import (
     TilingBudgetError,
+    TilingCountResult,
     build_instance,
     count_partitions,
     exists_partition,
@@ -112,15 +117,79 @@ def test_const1_tilings_trivially_exist():
 
 
 def test_parallel_agrees_with_serial():
-    for name in ("nat_1_3", "fib_1_4", "nat_1_3_identity"):
-        inst = instance_from_json(load_fixture(name)["instance"])
-        s1 = exists_partition(inst, jobs=1)
-        s2 = exists_partition(inst, jobs=2)
-        assert s1.status == s2.status
-        assert s1.witness == s2.witness
-        c1 = count_partitions(inst, jobs=1)
-        c2 = count_partitions(inst, jobs=2)
-        assert (c1.status, c1.count) == (c2.status, c2.count)
+    instances = [
+        instance_from_json(load_fixture(name)["instance"])
+        for name in ("nat_1_3", "fib_1_4", "nat_1_3_identity")
+    ]
+    # Without candidate blocks 0 and 21, the first two of the twelve root
+    # branches of (nat, 1, 4) hold no partition; the witness is in the third.
+    nat_1_4 = build_instance(parse_sequence("nat"), 1, 4)
+    instances.append(
+        dataclasses.replace(
+            nat_1_4, blocks=tuple(b for i, b in enumerate(nat_1_4.blocks) if i not in (0, 21))
+        )
+    )
+    for inst in instances:
+        serial = exists_partition(inst, jobs=1)
+        assert exists_partition(inst, jobs=2) == serial
+        assert exists_partition(inst, jobs=3) == serial
+        assert count_partitions(inst, jobs=2) == count_partitions(inst, jobs=1)
+        assert count_partitions(inst, cap=3, jobs=2) == count_partitions(inst, cap=3, jobs=1)
+    assert serial.status == "yes"
+    assert serial.witness[0] == 2
+
+
+def test_pinned_search_trees():
+    """The search visits the same nodes in the same order as it always has."""
+    nat = parse_sequence("nat")
+    assert count_partitions(build_instance(nat, 2, 4)) == TilingCountResult("exact", 17424, 55728)
+    budgeted = count_partitions(build_instance(nat, 2, 5), node_budget=20000)
+    assert budgeted == TilingCountResult("inconclusive", 2915, 20021)
+    search = exists_partition(build_instance(parse_sequence("gauss:2"), 2, 4))
+    assert (search.status, search.nodes) == ("yes", 106)
+
+
+def brute_force_count(inst) -> int:
+    """Exact covers of the chains by the candidate blocks.
+
+    Memoised on the covered set, always branching on the lowest
+    uncovered chain: no pivot rule, budget or node count involved.
+    """
+    masks = [sum(1 << c for c in block.chains) for block in inst.blocks]
+    full = (1 << inst.universe_size) - 1
+
+    @functools.lru_cache(maxsize=None)
+    def covers(covered: int) -> int:
+        if covered == full:
+            return 1
+        low = (~covered & (covered + 1)).bit_length() - 1
+        return sum(covers(covered | m) for m in masks if m >> low & 1 and not m & covered)
+
+    return covers(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(
+        ["nat", "fib", "const:1", "const:2", "const:3", "gauss:2", "list:[1,1,2,2,3,3]", "list:[1,2,2,4,4]"]
+    ),
+    k=st.integers(0, 4),
+    n=st.integers(1, 5),
+    sigma=st.sampled_from(["all", "identity"]),
+)
+def test_counts_match_brute_force(spec, k, n, sigma):
+    assume(k < n)
+    try:
+        inst = build_instance(parse_sequence(spec), k, n, sigma, universe_budget=24)
+    except (TilingBudgetError, ValueError):
+        assume(False)
+    expected = brute_force_count(inst)
+    result = count_partitions(inst)
+    assert (result.status, result.count) == ("exact", expected)
+    search = exists_partition(inst)
+    assert search.status == ("yes" if expected else "no")
+    if expected:
+        assert verify_partition(inst, search.witness)
 
 
 def test_count_cap():
