@@ -115,9 +115,7 @@ def cmd_gcdmorphic(args: argparse.Namespace) -> int:
 def _matrix_command(args: argparse.Namespace, which: str) -> int:
     seq = parse_sequence(args.seq)
     poset = CobwebPoset(seq, args.levels)
-    mat = poset.zeta_matrix() if which == "zeta" else poset.mobius_matrix()
-    if args.size is not None:
-        mat = mat.leading(args.size)
+    mat = poset.zeta_matrix(args.size) if which == "zeta" else poset.mobius_matrix(args.size)
     if args.format == "json":
         _print_json(
             {
@@ -253,7 +251,6 @@ def cmd_tile(args: argparse.Namespace) -> int:
         "candidate_blocks": len(instance.blocks),
     }
     lines: list[str] = []
-    witness: tuple[int, ...] | None = None
 
     if args.count:
         result = count_partitions(
@@ -272,28 +269,21 @@ def cmd_tile(args: argparse.Namespace) -> int:
             lines.append(f"count: >={result.count}")
         else:
             lines.append(f"count: >={result.count} (search incomplete)")
-        if args.witness and verdict == "yes":
-            witness = exists_partition(
-                instance, jobs=args.jobs, node_budget=node_budget
-            ).witness
-        exit_code = 3 if result.status == "inconclusive" else 0
     else:
-        search = exists_partition(instance, jobs=args.jobs, node_budget=node_budget)
-        verdict = search.status
-        witness = search.witness
-        exit_code = 3 if verdict == "inconclusive" else 0
+        result = exists_partition(instance, jobs=args.jobs, node_budget=node_budget)
+        verdict = result.status
     obj["verdict"] = verdict
     lines.insert(0, verdict)
-    if args.witness and witness is not None:
-        obj["witness"] = witness_to_json(instance, witness)
-        for b in witness:
+    if args.witness and result.witness is not None:
+        obj["witness"] = witness_to_json(instance, result.witness)
+        for b in result.witness:
             lines.append("block: " + " ".join(str(c) for c in instance.blocks[b].chains))
     if args.format == "json":
         _print_json(obj)
     else:
         for line in lines:
             print(line)
-    return exit_code
+    return 3 if result.status == "inconclusive" else 0
 
 
 def cmd_bell_classic(args: argparse.Namespace) -> int:

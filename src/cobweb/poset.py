@@ -163,11 +163,11 @@ class CobwebPoset:
     def vertices(self) -> tuple[Vertex, ...]:
         """All vertices in level-major order."""
         if self._vertices is None:
-            out: list[Vertex] = []
-            for p in range(self.max_level + 1):
-                out.extend((j, p) for j in range(1, self.level_sizes[p] + 1))
-            self._vertices = tuple(out)
+            self._vertices = tuple(self._walk_vertices())
         return self._vertices
+
+    def _walk_vertices(self) -> Iterator[Vertex]:
+        return ((j, p) for p, size in enumerate(self.level_sizes) for j in range(1, size + 1))
 
     def _check_level(self, p: int) -> None:
         if not 0 <= p <= self.max_level:
@@ -288,35 +288,52 @@ class CobwebPoset:
 
     # --- incidence algebra ---------------------------------------------------
 
-    def _level_matrix(self, above: Callable[[int, int], int]) -> IncidenceMatrix:
-        """Level-major matrix: 1 on the diagonal, 0 within and below a
-        vertex's level, and above(p, q) from level p to each vertex of q > p."""
+    def _level_matrix(
+        self, above: Callable[[int, int], int], size: int | None
+    ) -> IncidenceMatrix:
+        """The leading size x size block (all of it when size is None) of the
+        level-major matrix with 1 on the diagonal, 0 within and below a
+        vertex's level, and above(p, q) from level p to each vertex of q > p.
+
+        Only the requested block is built.
+        """
+        if size is None:
+            size = self.vertex_count
+        elif not 0 <= size <= self.vertex_count:
+            raise ValueError(f"size must be between 0 and {self.vertex_count}, got {size}")
+        starts = self._starts
         rows = []
-        for p, size in enumerate(self.level_sizes):
-            start = self._starts[p]
+        for p in range(self.max_level + 1):
+            if starts[p] >= size:
+                break
+            end = min(starts[p + 1], size)
             tail = []
             for q in range(p + 1, self.max_level + 1):
-                tail += [above(p, q)] * self.level_sizes[q]
-            for j in range(size):
-                row = [0] * (start + size) + tail
-                row[start + j] = 1
+                if starts[q] >= size:
+                    break
+                tail += [above(p, q)] * (min(starts[q + 1], size) - starts[q])
+            for i in range(starts[p], end):
+                row = [0] * end + tail
+                row[i] = 1
                 rows.append(tuple(row))
-        return IncidenceMatrix(self.vertices, tuple(rows))
+        return IncidenceMatrix(tuple(itertools.islice(self._walk_vertices(), size)), tuple(rows))
 
-    def zeta_matrix(self) -> IncidenceMatrix:
+    def zeta_matrix(self, size: int | None = None) -> IncidenceMatrix:
         """The zeta matrix: entry (u, v) is 1 iff u <= v, level-major order.
 
         Unit upper-triangular because the order is a linear extension.
+        ``size`` asks for the leading size x size block only.
         """
-        return self._level_matrix(lambda p, q: 1)
+        return self._level_matrix(lambda p, q: 1, size)
 
-    def mobius_matrix(self) -> IncidenceMatrix:
+    def mobius_matrix(self, size: int | None = None) -> IncidenceMatrix:
         """The Mobius matrix (the inverse of zeta) in closed form.
 
         The levels are antichains stacked as an ordinal sum, so for u on
         level p and v on level q > p, mu(u, v) = (-1)^(q-p) prod_{p<i<q} (F_i - 1).
+        ``size`` asks for the leading size x size block only.
         """
         sizes = self.level_sizes
         return self._level_matrix(
-            lambda p, q: (-1) ** (q - p) * math.prod(f - 1 for f in sizes[p + 1:q])
+            lambda p, q: (-1) ** (q - p) * math.prod(f - 1 for f in sizes[p + 1:q]), size
         )

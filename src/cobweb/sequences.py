@@ -58,9 +58,12 @@ class AdmissibleSequence:
 
 
 def _fib(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
+    """F_n by fast doubling: F_2i = F_i (2 F_(i+1) - F_i), F_(2i+1) = F_i^2 + F_(i+1)^2."""
+    a, b = 0, 1  # F_i, F_(i+1) for i the bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

@@ -1,9 +1,11 @@
 """Partitioning the saturated chains of a layer into product blocks.
 
 The universe of an instance (F, k, n) is the set of saturated chains
-spanning levels k..n of the cobweb poset, one vertex per level.  A
-candidate block is a product set: a root vertex at level k together
-with one subset per level k+1..n whose sizes are a permutation of
+spanning levels k..n of the cobweb poset, one vertex per level, in the
+lexicographic order of their per-level indices.  A chain's index is
+therefore its mixed-radix value over the level sizes.  A candidate
+block is a product set: a root vertex at level k together with one
+subset per level k+1..n whose sizes are a permutation of
 <F_1, ..., F_m>, m = n - k.  Every block therefore contains exactly
 m_F! chains, and a partition of the universe into blocks is an exact
 cover.
@@ -14,9 +16,11 @@ block and restores them from a trail when it backtracks.  Each node
 branches on the uncovered chain with the fewest live blocks, the lowest
 chain index winning ties, and tries its blocks in ascending index.  The
 search runs on an explicit stack, so its depth (blocks per partition)
-is bounded by memory, not by the interpreter's recursion limit.
-Budgets turn oversized work into an explicit "inconclusive" outcome
-instead of an open-ended run.
+is bounded by memory, not by the interpreter's recursion limit.  One
+search answers every query: it counts covers up to an optional cap and
+keeps the first one as the witness, and existence is a count capped at
+one.  Budgets turn oversized work into an explicit "inconclusive"
+outcome instead of an open-ended run.
 """
 from __future__ import annotations
 
@@ -88,9 +92,13 @@ class TilingSearchResult:
 
 @dataclass(frozen=True)
 class TilingCountResult:
+    """A partition count; the witness is the first partition in search
+    order (the one exists_partition finds), or None when none was found."""
+
     status: str  # "exact" | "capped" | "inconclusive"
     count: int
     nodes: int
+    witness: tuple[int, ...] | None  # block indices
 
 
 def build_instance(
@@ -147,25 +155,20 @@ def build_instance(
         raise TilingBudgetError("candidate blocks", predicted_blocks, block_budget)
 
     chains = tuple(itertools.product(*(range(1, s + 1) for s in sizes)))
-    chain_index = {c: i for i, c in enumerate(chains)}
 
     block_size = math.prod(base)
     seen: dict[tuple[int, ...], Block] = {}
-    for root in range(1, sizes[0] + 1):
-        for st in size_tuples:
-            subset_pools = [
-                tuple(itertools.combinations(range(1, sizes[1 + i] + 1), t))
-                for i, t in enumerate(st)
-            ]
-            if any(not pool for pool in subset_pools):
-                continue  # a requested size exceeds the level, no such block
+    for st in size_tuples:
+        if any(t > size for t, size in zip(st, sizes[1:])):
+            continue  # a requested size exceeds its level, no such block
+        subset_pools = [
+            tuple(itertools.combinations(range(1, size + 1), t)) for t, size in zip(st, sizes[1:])
+        ]
+        # Blocks of different roots never share a chain, so equal blocks
+        # come only from two size tuples at one root; the first is kept.
+        for root in range(1, sizes[0] + 1):
             for subsets in itertools.product(*subset_pools):
-                members = tuple(
-                    sorted(
-                        chain_index[(root,) + js]
-                        for js in itertools.product(*subsets)
-                    )
-                )
+                members = _members(sizes, root, subsets)
                 if members not in seen:
                     seen[members] = Block(root, st, subsets, members)
     blocks = tuple(seen[key] for key in sorted(seen))
@@ -182,15 +185,16 @@ def build_instance(
     )
 
 
+def _members(sizes: tuple[int, ...], root: int, subsets) -> tuple[int, ...]:
+    """The chain indices of the block root x subsets: mixed-radix values over
+    the level sizes, ascending because the subsets are."""
+    members = [root - 1]
+    for size, subset in zip(sizes[1:], subsets):
+        members = [a * size + j - 1 for a in members for j in subset]
+    return tuple(members)
+
+
 # --- exact cover search ------------------------------------------------------
-
-def _chain_blocks(instance: TilingInstance) -> list[tuple[int, ...]]:
-    per_chain: list[list[int]] = [[] for _ in instance.chains]
-    for b, block in enumerate(instance.blocks):
-        for c in block.chains:
-            per_chain[c].append(b)
-    return [tuple(bs) for bs in per_chain]
-
 
 class _ExactCover:
     """The search tables of one instance, built once and shared by every branch.
@@ -205,7 +209,11 @@ class _ExactCover:
 
     def __init__(self, instance: TilingInstance):
         self.block_chains = [block.chains for block in instance.blocks]
-        self.chain_blocks = _chain_blocks(instance)
+        per_chain: list[list[int]] = [[] for _ in instance.chains]
+        for b, chains in enumerate(self.block_chains):
+            for c in chains:
+                per_chain[c].append(b)
+        self.chain_blocks = [tuple(bs) for bs in per_chain]
         # Conflict lists of selected blocks, kept while they fit in
         # _CONFLICT_CACHE_ENTRIES; past that they are rebuilt per select.
         self.conflicts: list[tuple[int, ...] | None] = [None] * len(self.block_chains)
@@ -227,16 +235,16 @@ class _ExactCover:
         return con
 
     def search(
-        self, first: int, budget: int, cap: int | None, want_witness: bool
+        self, first: int, budget: int, cap: int | None
     ) -> tuple[int, tuple[int, ...] | None, bool, int]:
         """DFS below the root branch ``first``: (count, witness, exhausted, nodes).
 
         A node is one visit to a partial cover.  Its pivot is the
         uncovered chain with the fewest live blocks, the lowest chain
         index winning ties, and its options run in ascending block
-        index.  The search stops when it has visited ``budget`` nodes
-        (exhausted), when ``count`` reaches ``cap``, or when the tree
-        is done.
+        index.  The witness is the first cover completed.  The search
+        stops when it has visited ``budget`` nodes (exhausted), when
+        ``count`` reaches ``cap``, or when the tree is done.
         """
         block_chains = self.block_chains
         chain_blocks = self.chain_blocks
@@ -273,7 +281,7 @@ class _ExactCover:
             else:
                 if low:  # every chain is covered
                     count += 1
-                    if want_witness and witness is None:
+                    if witness is None:
                         witness = tuple(chosen)
                     if cap is not None and count >= cap:
                         break
@@ -307,18 +315,17 @@ def _worker_search(*args) -> tuple[int, tuple[int, ...] | None, bool, int]:
     return _worker_cover.search(*args)
 
 
-def _branch_results(cover: _ExactCover, branches, args: tuple, jobs: int):
+def _branch_results(cover: _ExactCover, branches, budget: int, cap: int | None, jobs: int):
     """Yield each root branch's search outcome, in branch order.
 
     With jobs > 1 a pool keeps up to ``jobs`` branches in flight; once a
-    branch reports a witness (args[2] asks for one), no later branch is
-    handed out, since the caller stops at the first witness in order.
+    branch alone reaches the cap, no later branch is handed out, since
+    the caller's running count reaches the cap there at the latest.
     """
     if jobs == 1:
         for b in branches:
-            yield cover.search(b, *args)
+            yield cover.search(b, budget, cap)
         return
-    want_witness = args[2]
     workers = min(jobs, len(branches))
     with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(cover,)) as pool:
         pending: dict = {}  # future -> branch position
@@ -330,13 +337,13 @@ def _branch_results(cover: _ExactCover, branches, args: tuple, jobs: int):
                 return
             while i not in done:
                 while submitted < limit and len(pending) < workers:
-                    pending[pool.submit(_worker_search, branches[submitted], *args)] = submitted
+                    pending[pool.submit(_worker_search, branches[submitted], budget, cap)] = submitted
                     submitted += 1
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
                     j = pending.pop(future)
                     done[j] = future.result()
-                    if want_witness and done[j][1] is not None:
+                    if cap is not None and done[j][0] >= cap:
                         limit = min(limit, j + 1)
             yield done.pop(i)
 
@@ -346,15 +353,15 @@ def _solve(
     cap: int | None,
     jobs: int,
     node_budget: int | None,
-    want_witness: bool,
 ) -> tuple[int, tuple[int, ...] | None, bool, int]:
     """Shared driver: returns (count, witness, any_exhausted, nodes).
 
     The search always branches once at the root pivot and solves each
     branch with an equal share of the node budget, taking the branches
-    in order and stopping at the first witness or once the count reaches
-    the cap.  Parallel runs consume the same outcomes in the same order,
-    so serial and parallel runs agree on every field.
+    in order and stopping once the count reaches the cap.  The witness
+    is the first cover of the first branch that has one.  Parallel runs
+    consume the same outcomes in the same order, so serial and parallel
+    runs agree on every field.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -374,15 +381,13 @@ def _solve(
 
     per_branch = max(1, node_budget // len(branches))
     count, witness, exhausted, nodes = 0, None, False, 1
-    results = _branch_results(cover, branches, (per_branch, cap, want_witness), jobs)
+    results = _branch_results(cover, branches, per_branch, cap, jobs)
     with closing(results):
         for b_count, b_witness, b_exhausted, b_nodes in results:
             count += b_count
             exhausted = exhausted or b_exhausted
             nodes += b_nodes
-            if b_witness is not None:
-                witness = b_witness
-                break
+            witness = witness or b_witness
             if cap is not None and count >= cap:
                 break
     return count, witness, exhausted, nodes
@@ -399,9 +404,7 @@ def exists_partition(
     the whole tree fit inside the node budget, otherwise the verdict is
     "inconclusive".
     """
-    count, witness, exhausted, nodes = _solve(
-        instance, cap=1, jobs=jobs, node_budget=node_budget, want_witness=True
-    )
+    count, witness, exhausted, nodes = _solve(instance, 1, jobs, node_budget)
     if count >= 1:
         return TilingSearchResult("yes", witness, nodes)
     if exhausted:
@@ -419,18 +422,18 @@ def count_partitions(
 
     "exact" means the full tree was searched; "capped" means at least
     cap partitions exist; "inconclusive" means the node budget ran out
-    first and the count is only a lower bound.
+    first and the count is only a lower bound.  Any count of one or
+    more carries its first partition in search order as the witness,
+    the one exists_partition reports.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    count, _, exhausted, nodes = _solve(
-        instance, cap=cap, jobs=jobs, node_budget=node_budget, want_witness=False
-    )
+    count, witness, exhausted, nodes = _solve(instance, cap, jobs, node_budget)
     if cap is not None and count >= cap:
-        return TilingCountResult("capped", cap, nodes)
+        return TilingCountResult("capped", cap, nodes, witness)
     if exhausted:
-        return TilingCountResult("inconclusive", count, nodes)
-    return TilingCountResult("exact", count, nodes)
+        return TilingCountResult("inconclusive", count, nodes, witness)
+    return TilingCountResult("exact", count, nodes, witness)
 
 
 def verify_partition(instance: TilingInstance, block_indices) -> bool:
@@ -443,16 +446,8 @@ def verify_partition(instance: TilingInstance, block_indices) -> bool:
     for b in chosen:
         if not isinstance(b, int) or not 0 <= b < len(instance.blocks):
             raise ValueError(f"foreign block {b!r}: not a candidate of this instance")
-    covered = 0
-    total = 0
-    for b in chosen:
-        mask = 0
-        for c in instance.blocks[b].chains:
-            mask |= 1 << c
-        covered |= mask
-        total += len(instance.blocks[b].chains)
-    full = (1 << instance.universe_size) - 1
-    return covered == full and total == instance.universe_size
+    covered = sorted(c for b in chosen for c in instance.blocks[b].chains)
+    return covered == list(range(instance.universe_size))
 
 
 # --- serialization -----------------------------------------------------------
@@ -480,18 +475,29 @@ def instance_to_json(instance: TilingInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> TilingInstance:
-    """Rebuild an instance, revalidating each block against its chain list."""
+    """Rebuild an instance, revalidating its chains and each block.
+
+    The chain list must be the product of the level ranges, and a
+    block's root and subsets must be strictly ascending entries of their
+    levels, so that its chain indices are the mixed-radix values of its
+    chains; these must equal the block's chain list.
+    """
+    sizes = tuple(doc["level_sizes"])
     chains = tuple(tuple(c) for c in doc["chains"])
-    chain_index = {c: i for i, c in enumerate(chains)}
+    if chains != tuple(itertools.product(*(range(1, s + 1) for s in sizes))):
+        raise ValueError(f"chain list is not the product of the level ranges {sizes}")
     blocks = []
     for entry in doc["blocks"]:
         subsets = tuple(tuple(s) for s in entry["subsets"])
-        members = tuple(
-            sorted(
-                chain_index[(entry["root"],) + js]
-                for js in itertools.product(*subsets)
-            )
-        )
+        levels = ((entry["root"],),) + subsets
+        if len(levels) != len(sizes):
+            raise ValueError(f"block {entry} needs one subset per level above its root")
+        for size, level in zip(sizes, levels):
+            if not level or level[0] < 1 or level[-1] > size:
+                raise ValueError(f"block {entry}: {list(level)} is not inside a level of {size}")
+            if any(a >= b for a, b in zip(level, level[1:])):
+                raise ValueError(f"block {entry}: {list(level)} is not strictly ascending")
+        members = _members(sizes, entry["root"], subsets)
         if members != tuple(entry["chains"]):
             raise ValueError(f"block {entry} disagrees with its chain list")
         blocks.append(Block(entry["root"], tuple(entry["sizes"]), subsets, members))
@@ -500,7 +506,7 @@ def instance_from_json(doc: dict) -> TilingInstance:
         k=doc["k"],
         n=doc["n"],
         sigma_policy=doc["sigma_policy"],
-        level_sizes=tuple(doc["level_sizes"]),
+        level_sizes=sizes,
         block_size=doc["block_size"],
         chains=chains,
         blocks=tuple(blocks),

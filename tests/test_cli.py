@@ -1,12 +1,17 @@
 """Exit codes, text formats, and JSON schema of the command line."""
+import contextlib
 import functools
+import io
 import json
 import pathlib
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cobweb import FNomialTable, parse_sequence
+from cobweb import FNomialTable, build_instance, cli, exists_partition, parse_sequence
 from cobweb.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -95,6 +100,28 @@ def test_zeta_golden_fixture(capsys):
     code, out, _ = run(capsys, "zeta", "fib", "--levels", "6", "--size", "16")
     assert code == 0
     assert out == (FIXTURES / "fib_zeta_16.txt").read_text()
+
+
+def test_zeta_size_builds_only_the_leading_block(capsys):
+    # fib at 22 levels has 46368 vertices; the whole matrix would not fit
+    # in memory, the leading 16 x 16 block takes a few kilobytes.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "zeta", "fib", "--levels", "22", "--size", "16")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == (FIXTURES / "fib_zeta_16.txt").read_text()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("which", ["zeta", "mobius"])
+@pytest.mark.parametrize("size", ["-1", "14"])
+def test_matrix_size_out_of_range(capsys, which, size):
+    code, out, err = run(capsys, which, "fib", "--levels", "5", "--size", size)
+    assert (code, out) == (1, "")
+    assert err == f"error: size must be between 0 and 13, got {size}\n"
 
 
 def test_zeta_json(capsys):
@@ -194,6 +221,25 @@ def test_tile_yes_with_witness(capsys):
     blocks = [line for line in lines if line.startswith("block: ")]
     covered = sorted(int(c) for line in blocks for c in line.split()[1:])
     assert covered == list(range(6))
+
+
+@pytest.mark.parametrize(
+    "flags, count_line, code",
+    [((), "count: 4", 0), (("--node-budget", "10"), "count: >=3 (search incomplete)", 3)],
+)
+def test_tile_count_witness_is_one_search(capsys, monkeypatch, flags, count_line, code):
+    """--count --witness prints the count's own first partition, the one
+    existence finds, without running a second search."""
+    inst = build_instance(parse_sequence("nat"), 1, 3)
+    witness = exists_partition(inst, node_budget=int(flags[1]) if flags else None).witness
+    blocks = [" ".join(str(c) for c in inst.blocks[b].chains) for b in witness]
+    expected = "".join(f"{line}\n" for line in ["yes", count_line] + [f"block: {b}" for b in blocks])
+
+    def second_search(*args, **kwargs):
+        raise AssertionError("tile --count ran a second search")
+
+    monkeypatch.setattr(cli, "exists_partition", second_search)
+    assert run(capsys, "tile", "nat", "1", "3", "--count", "--witness", *flags) == (code, expected, "")
 
 
 def test_tile_no(capsys):
@@ -336,3 +382,79 @@ def test_no_scientific_notation_in_exact_output(capsys):
     _, out, _ = run(capsys, "fnomial", "gauss:3", "20", "10")
     assert "e" not in out
     assert int(out) > 10 ** 40
+
+
+# --- the exit-code contract over generated command lines ------------------------
+
+SMALL = st.integers(-2, 6).map(str)
+SPECS = st.one_of(
+    st.sampled_from(["nat", "fib", "even1", "odd", "div3"]),
+    st.builds("const:{}".format, st.integers(0, 4)),
+    st.builds("gauss:{}".format, st.integers(0, 3)),
+    st.lists(st.integers(1, 4), max_size=6).map(lambda vs: f"list:[{','.join(map(str, vs))}]"),
+    st.sampled_from(["Nat", "fbi", "", "const:", "gauss:x", "list:[1,0,2]", "list:[1,2", "fib:2", "-x"])
+    | st.text(alphabet="fibnatcos:[],-0129 ", max_size=8),
+)
+
+
+def _flag(draw, name, values):
+    """[name, value] or nothing, as drawn."""
+    return [name, draw(values)] if draw(st.booleans()) else []
+
+
+@st.composite
+def command_lines(draw):
+    """A bounded argv from the CLI grammar, possibly malformed anywhere.
+
+    Sizes stay small and every enumeration or search carries a small
+    budget, so each command line runs in milliseconds.
+    """
+    cmd = draw(st.sampled_from(
+        ["fnomial", "admissible", "gcdmorphic", "zeta", "mobius", "chains", "grid",
+         "diagonal", "tile", "bell-classic", "nosuch"]
+    ))
+    spec = draw(SPECS)
+    if cmd == "fnomial":
+        argv = [spec, draw(SMALL), draw(SMALL)]
+    elif cmd in ("admissible", "gcdmorphic"):
+        argv = [spec, "--max", draw(st.integers(-2, 14).map(str))]
+    elif cmd in ("zeta", "mobius"):
+        argv = [spec, "--levels", draw(st.integers(-1, 5).map(str)), *_flag(draw, "--size", SMALL)]
+    elif cmd == "chains":
+        argv = [spec, "--from", draw(SMALL), "--to", draw(SMALL), "--budget", draw(st.integers(-1, 40).map(str))]
+        argv += ["--enumerate"] if draw(st.booleans()) else []
+    elif cmd == "grid":
+        argv = [draw(SMALL), draw(SMALL)] + draw(st.sampled_from([[], ["--whitney"], ["--bell"], ["--maxchains"]]))
+    elif cmd == "diagonal":
+        argv = [spec, "--n", draw(st.integers(-2, 14).map(str))] + (["--triangle"] if draw(st.booleans()) else [])
+    elif cmd == "tile":
+        argv = [spec, draw(st.integers(-1, 4).map(str)), draw(st.integers(-1, 4).map(str))]
+        argv += ["--universe-budget", draw(st.integers(0, 60).map(str))]
+        argv += ["--block-budget", draw(st.integers(0, 600).map(str))]
+        argv += ["--node-budget", draw(st.integers(0, 600).map(str))]
+        argv += ["--jobs", draw(st.sampled_from(["0", "1", "1", "1"]))]
+        argv += [f for f in ("--count", "--witness") if draw(st.booleans())]
+        argv += _flag(draw, "--cap", st.integers(-1, 3).map(str))
+        argv += _flag(draw, "--sigma", st.sampled_from(["all", "identity", "some"]))
+    elif cmd == "bell-classic":
+        argv = [draw(st.integers(-2, 40).map(str))]
+        argv += _flag(draw, "--dobinski", st.sampled_from(["1e-9", "1e-300", "0", "-1", "1.5", "nan", "inf", "x"]))
+    else:
+        argv = [spec]
+    argv += _flag(draw, "--format", st.sampled_from(["text", "json", "xml"]))
+    if draw(st.integers(0, 9)) == 0:  # a stray token anywhere
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "7", "x", "--"])))
+    return [cmd, *argv]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_every_outcome_is_a_contract_exit_code(argv):
+    """0 answer, 1 domain error, 2 usage error, 3 budget; nothing escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

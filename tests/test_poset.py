@@ -188,6 +188,18 @@ def test_leading_block_bounds():
         z.leading(5)
 
 
+@pytest.mark.parametrize("spec, levels", [("nat", 4), ("fib", 6), ("gauss:2", 3), ("const:1", 3)])
+def test_sized_matrices_are_leading_blocks(spec, levels):
+    p = poset(spec, levels)
+    zeta, mobius = p.zeta_matrix(), p.mobius_matrix()
+    for size in range(p.vertex_count + 1):
+        assert p.zeta_matrix(size) == zeta.leading(size)
+        assert p.mobius_matrix(size) == mobius.leading(size)
+    for size in (-1, p.vertex_count + 1):
+        with pytest.raises(ValueError, match="size must be between"):
+            p.zeta_matrix(size)
+
+
 def test_count_max_chains_product():
     p = poset("fib", 5)
     assert p.count_max_chains(0, 4) == 6  # 1*1*1*2*3

@@ -32,6 +32,13 @@ def test_fib_value():
     assert parse_sequence("fib").value(6) == 8
 
 
+def test_fib_values_match_the_recurrence():
+    expected = [0, 1]
+    while len(expected) <= 3000:
+        expected.append(expected[-1] + expected[-2])
+    assert parse_sequence("fib").values(3000) == expected[:3001]
+
+
 def test_gauss_base_one_is_nat():
     q1 = parse_sequence("gauss:1")
     nat = parse_sequence("nat")

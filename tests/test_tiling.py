@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -140,11 +141,18 @@ def test_parallel_agrees_with_serial():
 
 
 def test_pinned_search_trees():
-    """The search visits the same nodes in the same order as it always has."""
+    """The search visits the same nodes in the same order as it always has.
+
+    A count's witness is its first partition, the one existence finds.
+    """
     nat = parse_sequence("nat")
-    assert count_partitions(build_instance(nat, 2, 4)) == TilingCountResult("exact", 17424, 55728)
-    budgeted = count_partitions(build_instance(nat, 2, 5), node_budget=20000)
-    assert budgeted == TilingCountResult("inconclusive", 2915, 20021)
+    inst = build_instance(nat, 2, 4)
+    witness = exists_partition(inst).witness
+    assert count_partitions(inst) == TilingCountResult("exact", 17424, 55728, witness)
+    inst = build_instance(nat, 2, 5)
+    witness = exists_partition(inst, node_budget=20000).witness
+    budgeted = count_partitions(inst, node_budget=20000)
+    assert budgeted == TilingCountResult("inconclusive", 2915, 20021, witness)
     search = exists_partition(build_instance(parse_sequence("gauss:2"), 2, 4))
     assert (search.status, search.nodes) == ("yes", 106)
 
@@ -245,6 +253,24 @@ def test_verify_partition():
         verify_partition(inst, ["0"])
 
 
+@pytest.mark.parametrize("spec, n", [("gauss:3", 4), ("gauss:2", 5)])
+def test_impossible_size_tuples_build_no_subsets(spec, n):
+    # One size tuple, the identity, makes the whole universe one block.
+    # Every other asks some level for more vertices than it holds, and
+    # listing the subsets of its other levels (up to C(40, 13), about
+    # 1.2e10 of them, for gauss:3) would exhaust memory under a block
+    # budget that predicts a single block.
+    tracemalloc.start()
+    try:
+        inst = build_instance(parse_sequence(spec), 0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.blocks) == 1
+    assert inst.blocks[0].chains == tuple(range(inst.universe_size))
+    assert peak < 20_000_000
+
+
 def test_non_admissible_sequence_rejected():
     with pytest.raises(ValueError, match="3/2"):
         build_instance(parse_sequence("list:[2,3,4,5]"), 0, 2)
@@ -276,6 +302,53 @@ def test_tampered_fixture_rejected():
     doc["blocks"][0]["chains"][0] = 5  # no longer matches the product set
     with pytest.raises(ValueError):
         instance_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["chains"].reverse(),
+        lambda doc: doc["chains"].pop(),
+        lambda doc: doc["chains"][1].__setitem__(2, 3),
+    ],
+    ids=["reversed", "short", "repeated"],
+)
+def test_chain_list_must_be_the_level_product(edit):
+    doc = instance_to_json(build_instance(parse_sequence("nat"), 1, 3))
+    edit(doc)
+    with pytest.raises(ValueError, match="product of the level ranges"):
+        instance_from_json(doc)
+
+
+def _with_block_0(root, subsets, chains) -> dict:
+    """(nat, 1, 3) with block 0 (root 1 x {1} x {1, 2}, chains [0, 1]) edited.
+
+    Each edit in the tests below passes chains equal to the mixed-radix
+    values of its entries, so only the entry checks can reject it.
+    """
+    doc = instance_to_json(build_instance(parse_sequence("nat"), 1, 3))
+    doc["blocks"][0].update(root=root, subsets=subsets, chains=chains)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "root, subsets, chains, match",
+    [
+        (2, [[1], [1, 2]], [6, 7], "inside a level"),  # level k holds one vertex
+        (1, [[1], [3, 4]], [2, 3], "inside a level"),  # 4 would alias chain 3
+        (1, [[0], [1, 2]], [-3, -2], "inside a level"),
+        (1, [[1]], [0], "one subset per level"),
+    ],
+)
+def test_block_entries_must_lie_in_their_levels(root, subsets, chains, match):
+    with pytest.raises(ValueError, match=match):
+        instance_from_json(_with_block_0(root, subsets, chains))
+
+
+@pytest.mark.parametrize("subset, chains", [([2, 1], [1, 0]), ([1, 1], [0, 0])])
+def test_block_subsets_must_be_strictly_ascending(subset, chains):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        instance_from_json(_with_block_0(1, [[1], subset], chains))
 
 
 def test_witness_serialization():
