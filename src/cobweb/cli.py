@@ -143,17 +143,18 @@ def cmd_chains(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.seq)
     poset = CobwebPoset(seq, args.to_level)
     if args.enumerate:
-        chains = list(
-            poset.enumerate_max_chains(args.from_level, args.to_level, args.budget)
-        )
+        # The generator checks the span and the budget before its first
+        # chain, so a refused request prints nothing.
+        chains = poset.enumerate_max_chains(args.from_level, args.to_level, args.budget)
         if args.format == "json":
+            nested = [[[j, p] for j, p in chain] for chain in chains]
             _print_json(
                 {
                     "sequence": seq.name,
                     "from": args.from_level,
                     "to": args.to_level,
-                    "count": len(chains),
-                    "chains": [[[j, p] for j, p in chain] for chain in chains],
+                    "count": len(nested),
+                    "chains": nested,
                 }
             )
         else:

@@ -21,6 +21,19 @@ search answers every query: it counts covers up to an optional cap and
 keeps the first one as the witness, and existence is a count capped at
 one.  Budgets turn oversized work into an explicit "inconclusive"
 outcome instead of an open-ended run.
+
+The subtree below a node depends only on the set of covered chains:
+the live blocks are those disjoint from it and the pivot rule is
+fixed.  Each finished subtree is therefore memoised under that set, an
+int bitmask over chain indices, with its node and cover counts.  An
+option that reaches a memoised set adds those counts instead of
+walking the subtree again, whenever the walk would stay inside the
+node budget, stay below the cap and leave the witness as it is.  The
+walk would then add exactly those counts, so every result, node count
+included, is the one of the plain search.  The memo takes entries only
+while they fit a fixed byte bound (_MEMO_BYTES), and keeps as many
+block masks at most; past it the search stays exact and stops
+memoising.
 """
 from __future__ import annotations
 
@@ -45,6 +58,12 @@ SIGMA_POLICIES = ("identity", "all")
 # At most this many block indices (about 8 bytes each) are kept in the
 # search's conflict lists, whatever the instance.
 _CONFLICT_CACHE_ENTRIES = 1 << 22
+
+# At most this many bytes, counted per entry as a universe-wide key plus
+# _MEMO_ENTRY_BYTES of dict slot, key header and value, go to the
+# search's subtree memo; past that the search stops memoising.
+_MEMO_BYTES = 1 << 23
+_MEMO_ENTRY_BYTES = 200
 
 
 class TilingBudgetError(RuntimeError):
@@ -145,7 +164,7 @@ def build_instance(
     if sigma_policy == "identity":
         size_tuples = [tuple(base)]
     else:
-        size_tuples = sorted(set(itertools.permutations(base)))
+        size_tuples = list(_distinct_permutations(base))
 
     predicted_blocks = sizes[0] * sum(
         math.prod(math.comb(sizes[1 + i], t) for i, t in enumerate(st))
@@ -185,6 +204,27 @@ def build_instance(
     )
 
 
+def _distinct_permutations(items):
+    """The distinct permutations of a multiset, in lexicographic order.
+
+    Each comes from the last by the next-permutation step, so a multiset
+    with many equal items yields few tuples, not len(items)! of them.
+    """
+    p = sorted(items)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = reversed(p[i + 1:])
+
+
 def _members(sizes: tuple[int, ...], root: int, subsets) -> tuple[int, ...]:
     """The chain indices of the block root x subsets: mixed-radix values over
     the level sizes, ascending because the subsets are."""
@@ -205,6 +245,9 @@ class _ExactCover:
     the killed blocks from the trail.  A covered chain's count is offset
     by ``covered``, more than any live count, so one ``min`` finds both
     the pivot and a complete cover.
+
+    Finished subtrees go to a memo shared by every branch, keyed by
+    their covered-chain bitmask (see the module docstring).
     """
 
     def __init__(self, instance: TilingInstance):
@@ -218,6 +261,13 @@ class _ExactCover:
         # _CONFLICT_CACHE_ENTRIES; past that they are rebuilt per select.
         self.conflicts: list[tuple[int, ...] | None] = [None] * len(self.block_chains)
         self.cache_room = _CONFLICT_CACHE_ENTRIES
+        # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
+        self.memo: dict[int, tuple[int, int]] = {}
+        self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(instance.chains) // 8)
+        # Chain bitmasks of the blocks, built on first use and kept for at
+        # most memo_limit blocks, since a mask is no larger than a memo key.
+        self.masks: list[int] = [0] * len(self.block_chains)
+        self.mask_room = self.memo_limit
 
     def root_branches(self) -> tuple[int, ...]:
         """The blocks through the root pivot: the first chain of fewest blocks."""
@@ -234,6 +284,16 @@ class _ExactCover:
                 self.conflicts[b] = con
         return con
 
+    def mask_of(self, b: int) -> int:
+        """Block b's chains as a bitmask over chain indices."""
+        mask = self.masks[b]
+        if not mask:
+            mask = sum(1 << c for c in self.block_chains[b])
+            if self.mask_room:
+                self.mask_room -= 1
+                self.masks[b] = mask
+        return mask
+
     def search(
         self, first: int, budget: int, cap: int | None
     ) -> tuple[int, tuple[int, ...] | None, bool, int]:
@@ -245,17 +305,27 @@ class _ExactCover:
         index.  The witness is the first cover completed.  The search
         stops when it has visited ``budget`` nodes (exhausted), when
         ``count`` reaches ``cap``, or when the tree is done.
+
+        An option whose subtree is in the memo adds that subtree's
+        nodes and covers instead of walking it, whenever the walk would
+        neither exhaust the budget, reach the cap nor find the witness;
+        the result is then the one the walk would give.
         """
         block_chains = self.block_chains
         chain_blocks = self.chain_blocks
         conflicts = self.conflicts
+        masks = self.masks
+        memo = self.memo
+        memo_limit = self.memo_limit
         covered = len(block_chains) + 1
         live = [len(bs) for bs in chain_blocks]
         alive = bytearray(b"\x01") * len(block_chains)
-        trail: list[list[int]] = []  # the blocks each selection killed
+        # Per selection: the blocks it killed and the node and cover
+        # counts before it.  ``cov`` is the covered-chain mask.
+        trail: list[tuple[list[int], int, int]] = []
         chosen: list[int] = []
-        frames = []  # per open node: an iterator over its untried options
-        count = nodes = 0
+        frames = []  # per selection: an iterator over its node's untried options
+        count = nodes = cov = 0
         witness = None
         b = first
         while True:
@@ -267,7 +337,8 @@ class _ExactCover:
                     live[c] -= 1
             for c in block_chains[b]:
                 live[c] += covered
-            trail.append(killed)
+            cov |= masks[b] or self.mask_of(b)
+            trail.append((killed, nodes, count))
             chosen.append(b)
 
             nodes += 1
@@ -275,9 +346,7 @@ class _ExactCover:
                 return count, witness, True, nodes
             low = min(live)
             if 0 < low < covered:
-                options = iter([x for x in chain_blocks[live.index(low)] if alive[x]])
-                frames.append(options)
-                b = next(options)
+                frames.append(iter([x for x in chain_blocks[live.index(low)] if alive[x]]))
             else:
                 if low:  # every chain is covered
                     count += 1
@@ -285,20 +354,37 @@ class _ExactCover:
                         witness = tuple(chosen)
                     if cap is not None and count >= cap:
                         break
-                # Undo selections up to the deepest node with an untried option.
-                while frames:
-                    for x in trail.pop():
+                frames.append(iter(()))
+            # Take the next option of the deepest node that has one, undoing
+            # finished selections and replaying memoised subtrees.
+            while True:
+                b = next(frames[-1], -1)
+                if b < 0:
+                    frames.pop()
+                    if not frames:  # the root branch is done; its selection stays
+                        return count, witness, False, nodes
+                    killed, nodes0, count0 = trail.pop()
+                    for x in killed:
                         alive[x] = 1
                         for c in block_chains[x]:
                             live[c] += 1
-                    for c in block_chains[chosen.pop()]:
+                    b = chosen.pop()
+                    for c in block_chains[b]:
                         live[c] -= covered
-                    b = next(frames[-1], -1)
-                    if b >= 0:
-                        break
-                    frames.pop()
-                else:
+                    if len(memo) < memo_limit:
+                        memo[cov] = (nodes - nodes0, count - count0)
+                    cov ^= masks[b] or self.mask_of(b)
+                    continue
+                sub = memo.get(cov | (masks[b] or self.mask_of(b)))
+                if (
+                    sub is None
+                    or nodes + sub[0] > budget
+                    or (cap is not None and count + sub[1] >= cap)
+                    or (witness is None and sub[1])
+                ):
                     break
+                nodes += sub[0]
+                count += sub[1]
         return count, witness, False, nodes
 
 

@@ -2,16 +2,25 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import pathlib
 import sys
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobweb import FNomialTable, build_instance, cli, exists_partition, parse_sequence
+from cobweb import (
+    CobwebPoset,
+    FNomialTable,
+    build_instance,
+    cli,
+    exists_partition,
+    parse_sequence,
+)
 from cobweb.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -175,6 +184,39 @@ def test_chains_budget_exit_3(capsys):
     assert "inconclusive" in err and "78129765" in err
 
 
+def test_chains_refused_json_prints_nothing(capsys):
+    code, out, err = run(
+        capsys, "chains", "gauss:2", "--from", "0", "--to", "7", "--enumerate",
+        "--format", "json",
+    )
+    assert (code, out) == (3, "")
+    assert "inconclusive" in err and "78129765" in err
+
+
+def test_chains_enumerate_streams(capsys, monkeypatch):
+    # Each chain is printed before the next one is generated.
+    real = CobwebPoset.enumerate_max_chains
+
+    def watched(self, *args):
+        for i, chain in enumerate(real(self, *args)):
+            assert capsys.readouterr().out.count("\n") == (1 if i else 0)
+            yield chain
+
+    monkeypatch.setattr(CobwebPoset, "enumerate_max_chains", watched)
+    code, out, _ = run(capsys, "chains", "nat", "--from", "1", "--to", "3", "--enumerate")
+    assert (code, out) == (0, "(1,1) (2,2) (3,3)\n")
+
+
+def test_chains_enumerate_text_bytes(capsys):
+    code, out, err = run(capsys, "chains", "nat", "--from", "1", "--to", "5", "--enumerate")
+    expected = "".join(
+        " ".join(f"({j},{p})" for p, j in enumerate(js, start=1)) + "\n"
+        for js in itertools.product(*(range(1, p + 1) for p in range(1, 6)))
+    )
+    assert (code, out, err) == (0, expected, "")
+    assert out.count("\n") == 120
+
+
 def test_grid_outputs(capsys):
     assert run(capsys, "grid", "1", "2")[:2] == (0, "3\n")
     assert run(capsys, "grid", "1", "2", "--bell")[:2] == (0, "3\n")
@@ -275,6 +317,22 @@ def test_tile_incomplete_count_exit_3(capsys):
     )
     assert code == 3
     assert json.loads(out)["count"] == {"status": "inconclusive", "value": 3}
+
+
+def test_tile_count_replays_repeated_subtrees(capsys):
+    # Most of this search revisits covered-chain sets it has finished
+    # before; it took about 32 s when every visit was walked again.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tile", "nat", "2", "5", "--count")
+    assert (code, out, err) == (3, "yes\ncount: >=183023 (search incomplete)\n", "")
+    assert time.perf_counter() - start < 5
+
+
+def test_tile_many_equal_level_sizes(capsys):
+    # <F_1..F_13> = <1, ..., 1> has one distinct permutation, not 13!.
+    start = time.perf_counter()
+    assert run(capsys, "tile", "const:1", "0", "13") == (0, "yes\n", "")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("n", [41, 61])

@@ -12,12 +12,14 @@ import pathlib
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cobweb import tiling
 from cobweb import (
     TilingBudgetError,
     TilingCountResult,
+    TilingSearchResult,
     build_instance,
     count_partitions,
     exists_partition,
@@ -29,6 +31,9 @@ from cobweb import (
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "tiling"
+
+# Sequences whose small instances the tests below build and search.
+SPECS = ["nat", "fib", "const:1", "const:2", "const:3", "gauss:2", "list:[1,1,2,2,3,3]", "list:[1,2,2,4,4]"]
 
 
 def load_fixture(name: str) -> dict:
@@ -98,6 +103,38 @@ def test_fixture_regression(name):
         assert verify_partition(inst, search.witness)
 
 
+def test_distinct_size_tuples_build_the_same_instances(monkeypatch):
+    """Listing each distinct size tuple once keeps the blocks and their order
+    that filtering every permutation gave.
+
+    Each base <F_1..F_m> of an admissible (spec, k, n) with n <= 6 gets
+    the same size tuples both ways; whole instances are compared where
+    they fit the default universe budget and 50000 candidate blocks
+    (153 of them; the nine left out are gauss:2 instances, whose bases
+    have no equal values).
+    """
+    distinct = tiling._distinct_permutations
+    built = {}
+    for spec in SPECS:
+        seq = parse_sequence(spec)
+        for n in range(1, 7):
+            for k in range(n):
+                try:
+                    built[spec, k, n] = build_instance(seq, k, n, block_budget=50_000)
+                except TilingBudgetError:
+                    pass
+                except ValueError:
+                    continue
+                base = [seq.value(i) for i in range(1, n - k + 1)]
+                assert list(distinct(base)) == sorted(set(itertools.permutations(base)))
+    monkeypatch.setattr(
+        tiling, "_distinct_permutations", lambda base: sorted(set(itertools.permutations(base)))
+    )
+    for (spec, k, n), inst in built.items():
+        assert build_instance(parse_sequence(spec), k, n, block_budget=50_000) == inst
+    assert len(built) == 153
+
+
 def test_sigma_policy_changes_the_verdict():
     # identity-only blocks cannot tile (nat, 1, 3); the full sigma set can
     nat = parse_sequence("nat")
@@ -157,6 +194,32 @@ def test_pinned_search_trees():
     assert (search.status, search.nodes) == ("yes", 106)
 
 
+@pytest.mark.parametrize("memo_bytes", [0, 5000])
+def test_memo_bound_keeps_the_tree(monkeypatch, memo_bytes):
+    """Past its bound the memo takes no entries, and the search stays exact."""
+    monkeypatch.setattr(tiling, "_MEMO_BYTES", memo_bytes)
+    inst = build_instance(parse_sequence("nat"), 2, 4)
+    witness = exists_partition(inst).witness
+    assert count_partitions(inst) == TilingCountResult("exact", 17424, 55728, witness)
+    cover = tiling._ExactCover(inst)
+    for b in cover.root_branches():
+        cover.search(b, 10**6, None)
+    assert len(cover.memo) == cover.memo_limit == memo_bytes // (tiling._MEMO_ENTRY_BYTES + 3)
+    assert sum(1 for mask in cover.masks if mask) == cover.memo_limit
+
+
+@pytest.mark.parametrize("spec, k, n", [("nat", 2, 4), ("nat", 1, 4), ("fib", 1, 5)])
+def test_shared_memo_keeps_each_branch_result(spec, k, n):
+    # Later root branches meet covered sets that earlier ones finished,
+    # the full universe among them; each branch still reports its own
+    # first cover as its witness.
+    inst = build_instance(parse_sequence(spec), k, n)
+    shared = tiling._ExactCover(inst)
+    for cap in (None, 3):
+        for b in shared.root_branches():
+            assert shared.search(b, 10**6, cap) == tiling._ExactCover(inst).search(b, 10**6, cap)
+
+
 def brute_force_count(inst) -> int:
     """Exact covers of the chains by the candidate blocks.
 
@@ -198,6 +261,111 @@ def test_counts_match_brute_force(spec, k, n, sigma):
     assert search.status == ("yes" if expected else "no")
     if expected:
         assert verify_partition(inst, search.witness)
+
+
+def reference_search(inst, cap, node_budget):
+    """The search without its subtree memo: (count, witness, exhausted, nodes).
+
+    Every node is walked: the same pivot rule, option order, root split
+    and per-branch node budget as count_partitions.
+    """
+    block_chains = [block.chains for block in inst.blocks]
+    chain_blocks = [[] for _ in inst.chains]
+    for b, chains in enumerate(block_chains):
+        for c in chains:
+            chain_blocks[c].append(b)
+    counts = [len(bs) for bs in chain_blocks]
+    branches = chain_blocks[counts.index(min(counts))]
+    if not branches:
+        return 0, None, False, 1
+    budget = max(1, node_budget // len(branches))
+    total, first_witness, any_exhausted, total_nodes = 0, None, False, 1
+    for first in branches:
+        covered = len(block_chains) + 1
+        live = list(counts)
+        alive = [True] * len(block_chains)
+        trail, chosen, frames = [], [], []
+        count = nodes = 0
+        witness = None
+        exhausted = False
+        b = first
+        while True:
+            killed = [x for x in range(len(block_chains))
+                      if alive[x] and set(block_chains[x]) & set(block_chains[b])]
+            for x in killed:
+                alive[x] = False
+                for c in block_chains[x]:
+                    live[c] -= 1
+            for c in block_chains[b]:
+                live[c] += covered
+            trail.append(killed)
+            chosen.append(b)
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
+                break
+            low = min(live)
+            if 0 < low < covered:
+                options = iter([x for x in chain_blocks[live.index(low)] if alive[x]])
+                frames.append(options)
+                b = next(options)
+                continue
+            if low:
+                count += 1
+                witness = witness or tuple(chosen)
+                if cap is not None and count >= cap:
+                    break
+            while frames:
+                for x in trail.pop():
+                    alive[x] = True
+                    for c in block_chains[x]:
+                        live[c] += 1
+                for c in block_chains[chosen.pop()]:
+                    live[c] -= covered
+                b = next(frames[-1], -1)
+                if b >= 0:
+                    break
+                frames.pop()
+            else:
+                break
+        total += count
+        first_witness = first_witness or witness
+        any_exhausted = any_exhausted or exhausted
+        total_nodes += nodes
+        if cap is not None and total >= cap:
+            break
+    return total, first_witness, any_exhausted, total_nodes
+
+
+@settings(max_examples=40, deadline=None)
+@example(spec="nat", k=2, n=4, sigma="all", node_budget=300, cap=3)
+@example(spec="nat", k=2, n=4, sigma="all", node_budget=2000, cap=100)
+@given(
+    spec=st.sampled_from(SPECS),
+    k=st.integers(0, 4),
+    n=st.integers(1, 5),
+    sigma=st.sampled_from(["all", "identity"]),
+    node_budget=st.integers(1, 3000),
+    cap=st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_memo_replays_the_reference_search(spec, k, n, sigma, node_budget, cap):
+    assume(k < n)
+    try:
+        inst = build_instance(parse_sequence(spec), k, n, sigma, universe_budget=24)
+    except (TilingBudgetError, ValueError):
+        assume(False)
+    count, witness, exhausted, nodes = reference_search(inst, cap, node_budget)
+    if cap is not None and count >= cap:
+        expected = TilingCountResult("capped", cap, nodes, witness)
+    else:
+        status = "inconclusive" if exhausted else "exact"
+        expected = TilingCountResult(status, count, nodes, witness)
+    count, witness, exhausted, nodes = reference_search(inst, 1, node_budget)
+    status = "yes" if count else "inconclusive" if exhausted else "no"
+    expected_search = TilingSearchResult(status, witness, nodes)
+    for jobs in (1, 2):
+        assert count_partitions(inst, cap, jobs, node_budget) == expected
+        assert exists_partition(inst, jobs, node_budget) == expected_search
 
 
 def test_count_cap():
