@@ -11,7 +11,6 @@ from .sequences import (
     AdmissibilityVerdict,
     GcdMorphismVerdict,
     SequenceSpecError,
-    builtin_names,
     gcd_morphism_failures,
     is_cobweb_admissible,
     is_gcd_morphic,
@@ -25,7 +24,6 @@ from .poset import (
     DEFAULT_ENUMERATION_BUDGET,
 )
 from .layer_grid import (
-    LayerGridPoset,
     bell_like,
     catalan,
     count_grid_max_chains,
@@ -36,7 +34,7 @@ from .layer_grid import (
     whitney_first,
     whitney_second,
 )
-from .diagonal import DiagonalPoset, bell, bell_sequence, whitney
+from .diagonal import bell_sequence, whitney
 from .tiling import (
     Block,
     TilingBudgetError,
@@ -51,7 +49,7 @@ from .tiling import (
     verify_partition,
     witness_to_json,
 )
-from .dobinski import StirlingTable, bell_dobinski, bell_exact, stirling2
+from .dobinski import bell_dobinski, bell_exact, stirling2
 
 __version__ = "0.1.0"
 
@@ -60,7 +58,6 @@ __all__ = [
     "AdmissibilityVerdict",
     "GcdMorphismVerdict",
     "SequenceSpecError",
-    "builtin_names",
     "gcd_morphism_failures",
     "is_cobweb_admissible",
     "is_gcd_morphic",
@@ -71,7 +68,6 @@ __all__ = [
     "EnumerationBudgetError",
     "IncidenceMatrix",
     "DEFAULT_ENUMERATION_BUDGET",
-    "LayerGridPoset",
     "bell_like",
     "catalan",
     "count_grid_max_chains",
@@ -81,8 +77,6 @@ __all__ = [
     "iter_grid_max_paths",
     "whitney_first",
     "whitney_second",
-    "DiagonalPoset",
-    "bell",
     "bell_sequence",
     "whitney",
     "Block",
@@ -97,7 +91,6 @@ __all__ = [
     "instance_to_json",
     "verify_partition",
     "witness_to_json",
-    "StirlingTable",
     "bell_dobinski",
     "bell_exact",
     "stirling2",

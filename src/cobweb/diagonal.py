@@ -12,7 +12,6 @@ whole triangle costs one exact division per entry and no factorials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
@@ -74,34 +73,7 @@ def whitney_rows(seq: "AdmissibleSequence", n_max: int) -> Iterator[list[int]]:
         yield row
 
 
-def bell(n: int, seq: "AdmissibleSequence") -> int:
-    """B_n(F): the sum of whitney(n, k, seq) over 0 <= 2k <= n."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return sum(whitney(n, k, seq) for k in range(n // 2 + 1))
-
-
 def bell_sequence(seq: "AdmissibleSequence", n_max: int) -> list[int]:
     """[B_0(F), ..., B_n_max(F)]: the row sums of whitney_rows."""
     return [sum(row) for row in whitney_rows(seq, n_max)]
 
-
-@dataclass(frozen=True)
-class DiagonalPoset:
-    """The ranked diagonal structure on n: rank k holds whitney(n, k) items."""
-
-    seq: "AdmissibleSequence"
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"need n >= 0, got {self.n}")
-
-    def ranks(self) -> range:
-        return range(self.n // 2 + 1)
-
-    def rank_count(self, k: int) -> int:
-        return whitney(self.n, k, self.seq)
-
-    def size(self) -> int:
-        return bell(self.n, self.seq)

@@ -2,10 +2,9 @@
 
 The exact side is the classical triangle recurrence, run in place on a
 single row, so B_n costs one row of memory rather than the whole
-triangle (``StirlingTable`` keeps every row); the approximate
-side evaluates e^-1 * sum k^n / k! with extended-precision decimals and
-an a-posteriori truncation bound, so a 1e-9 relative tolerance is
-meaningful through n = 20.
+triangle; the approximate side evaluates e^-1 * sum k^n / k! with
+extended-precision decimals and an a-posteriori truncation bound, so a
+1e-9 relative tolerance is meaningful through n = 20.
 """
 from __future__ import annotations
 
@@ -13,42 +12,6 @@ from decimal import Decimal, localcontext
 
 MAX_DOBINSKI_N = 20
 _MAX_TERMS = 4000
-
-
-class StirlingTable:
-    """S(n, k) rows 0..max_n by the recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
-
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
-        self.max_n = max_n
-        rows: list[list[int]] = [[1]]
-        for n in range(1, max_n + 1):
-            prev = rows[-1]
-            row = [0] * (n + 1)
-            for k in range(1, n + 1):
-                above = prev[k] if k < n else 0
-                row[k] = k * above + prev[k - 1]
-            rows.append(row)
-        self._rows = tuple(tuple(r) for r in rows)
-
-    def stirling2(self, n: int, k: int) -> int:
-        """Partitions of an n-set into k nonempty parts; 0 when k > n."""
-        if n < 0 or k < 0:
-            raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
-        if n > self.max_n:
-            raise ValueError(f"n = {n} outside the primed range 0..{self.max_n}")
-        if k > n:
-            return 0
-        return self._rows[n][k]
-
-    def bell_exact(self, n: int) -> int:
-        """B_n: the row sum of the Stirling triangle."""
-        if n < 0:
-            raise ValueError(f"need n >= 0, got {n}")
-        if n > self.max_n:
-            raise ValueError(f"n = {n} outside the primed range 0..{self.max_n}")
-        return sum(self._rows[n])
 
 
 def _stirling_row(n: int) -> list[int]:

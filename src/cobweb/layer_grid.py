@@ -3,7 +3,7 @@
 P(k, n) holds the pairs (l, m) with 0 <= l <= k and l < m <= n under the
 componentwise order.  Its rank function is r(l, m) = l + m - 1.  Both
 kinds of Whitney numbers have closed forms, which the test suite checks
-against element counts and against the Mobius matrix of LayerGridPoset;
+against element counts and against the inverted zeta matrix of the grid;
 maximal-chain counting is the classic ballot problem.
 """
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Iterator
-
-from .poset import IncidenceMatrix, invert_unit_upper
 
 Element = tuple[int, int]  # (l, m)
 
@@ -36,52 +34,6 @@ def grid_elements(k: int, n: int) -> tuple[Element, ...]:
     out = [(l, m) for l in range(k + 1) for m in range(l + 1, n + 1)]
     out.sort(key=lambda e: (e[0] + e[1], e[0]))
     return tuple(out)
-
-
-class LayerGridPoset:
-    """P(k, n) with its zeta and Mobius matrices over rank-major order."""
-
-    def __init__(self, k: int, n: int):
-        _check_kn(k, n)
-        self.k = k
-        self.n = n
-        self.elements = grid_elements(k, n)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-
-    def __contains__(self, e: Element) -> bool:
-        return e in self._index
-
-    def check_element(self, e: Element) -> None:
-        if e not in self._index:
-            raise ValueError(f"{e} is not an element of P({self.k}, {self.n})")
-
-    def leq(self, a: Element, b: Element) -> bool:
-        self.check_element(a)
-        self.check_element(b)
-        return a[0] <= b[0] and a[1] <= b[1]
-
-    def rank(self, e: Element) -> int:
-        self.check_element(e)
-        return e[0] + e[1] - 1
-
-    @property
-    def bottom(self) -> Element:
-        if not self.elements:
-            raise ValueError(f"P({self.k}, {self.n}) is empty")
-        return (0, 1)
-
-    def zeta_matrix(self) -> IncidenceMatrix:
-        els = self.elements
-        rows = tuple(
-            tuple(1 if (a[0] <= b[0] and a[1] <= b[1]) else 0 for b in els)
-            for a in els
-        )
-        return IncidenceMatrix(els, rows)
-
-    def mobius_matrix(self) -> IncidenceMatrix:
-        zeta = self.zeta_matrix()
-        inv = invert_unit_upper([list(r) for r in zeta.rows])
-        return IncidenceMatrix(zeta.order, tuple(tuple(r) for r in inv))
 
 
 def whitney_second(k: int, n: int, r: int) -> int:

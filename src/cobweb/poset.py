@@ -24,16 +24,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 Vertex = tuple[int, int]  # (j, p): index j within level p
 
 DEFAULT_ENUMERATION_BUDGET = 100_000
+# Zeta and Mobius blocks of more entries than this are refused, not built.
+MATRIX_ENTRY_BUDGET = 20_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
     """An enumeration that would exceed its budget; carries the exact size."""
 
-    def __init__(self, predicted: int, budget: int):
+    def __init__(self, predicted: int, budget: int, unit: str = "chains"):
         self.predicted = predicted
         self.budget = budget
         super().__init__(
-            f"enumeration would visit {predicted} chains, over the budget of {budget}"
+            f"enumeration would visit {predicted} {unit}, over the budget of {budget}"
         )
 
 
@@ -68,34 +70,6 @@ def mat_mul(a: list[list[int]] | tuple, b: list[list[int]] | tuple) -> list[list
     return out
 
 
-def invert_unit_upper(rows: list[list[int]] | tuple) -> list[list[int]]:
-    """Exact inverse of a unit upper-triangular integer matrix.
-
-    Back-substitution on rows, bottom-up: inv[i] = e_i - sum over k > i
-    of rows[i][k] * inv[k].  Result is again unit upper-triangular with
-    integer entries.
-    """
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if row[i] != 1 or any(row[j] for j in range(i)):
-            raise ValueError("matrix is not unit upper-triangular")
-    inv: list[list[int] | None] = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = [0] * n
-        acc[i] = 1
-        row = rows[i]
-        for k in range(i + 1, n):
-            c = row[k]
-            if c:
-                ik = inv[k]
-                if c == 1:
-                    acc = [x - y for x, y in zip(acc, ik)]
-                else:
-                    acc = [x - c * y for x, y in zip(acc, ik)]
-        inv[i] = acc
-    return inv  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class IncidenceMatrix:
     """A matrix over a fixed linear order of poset elements."""
@@ -107,17 +81,6 @@ class IncidenceMatrix:
         i = self.order.index(u)
         j = self.order.index(v)
         return self.rows[i][j]
-
-    def leading(self, size: int) -> "IncidenceMatrix":
-        """The leading size x size block, with the order truncated to match."""
-        if not 0 <= size <= len(self.order):
-            raise ValueError(
-                f"size must be between 0 and {len(self.order)}, got {size}"
-            )
-        return IncidenceMatrix(
-            self.order[:size],
-            tuple(row[:size] for row in self.rows[:size]),
-        )
 
     def dump(self) -> str:
         """Text form: a '# order:' header, then one row per line."""
@@ -180,26 +143,6 @@ class CobwebPoset:
             raise ValueError(
                 f"vertex ({j},{p}) invalid: level {p} has {self.level_sizes[p]} vertices"
             )
-
-    def index_of(self, v: Vertex) -> int:
-        """Position of v in the level-major linear order."""
-        self.check_vertex(v)
-        j, p = v
-        return self._starts[p] + j - 1
-
-    def leq(self, u: Vertex, v: Vertex) -> bool:
-        """u <= v: equal, or u lies on a strictly lower level."""
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return u == v or u[1] < v[1]
-
-    def cover_successors(self, v: Vertex) -> tuple[Vertex, ...]:
-        """The covers of v: the whole next level (complete bipartite)."""
-        self.check_vertex(v)
-        p = v[1]
-        if p == self.max_level:
-            return ()
-        return self.level_vertices(p + 1)
 
     # --- chain counting ------------------------------------------------------
 
@@ -268,24 +211,6 @@ class CobwebPoset:
                 e[i] += e[i - 1] * size
         return e[t]
 
-    def count_chains_of_length_bruteforce(self, t: int) -> int:
-        """DFS twin of count_chains_of_length, for cross-checking."""
-        if t < 1:
-            raise ValueError(f"chain length must be >= 1, got {t}")
-        verts = self.vertices
-        total = 0
-        stack: list[tuple[int, int]] = [(i, 1) for i in range(len(verts))]
-        while stack:
-            i, depth = stack.pop()
-            if depth == t:
-                total += 1
-                continue
-            u = verts[i]
-            for j in range(i + 1, len(verts)):
-                if u[1] < verts[j][1]:
-                    stack.append((j, depth + 1))
-        return total
-
     # --- incidence algebra ---------------------------------------------------
 
     def _level_matrix(
@@ -295,12 +220,15 @@ class CobwebPoset:
         level-major matrix with 1 on the diagonal, 0 within and below a
         vertex's level, and above(p, q) from level p to each vertex of q > p.
 
-        Only the requested block is built.
+        Only the requested block is built, and only when its size * size
+        entries fit MATRIX_ENTRY_BUDGET.
         """
         if size is None:
             size = self.vertex_count
         elif not 0 <= size <= self.vertex_count:
             raise ValueError(f"size must be between 0 and {self.vertex_count}, got {size}")
+        if size * size > MATRIX_ENTRY_BUDGET:
+            raise EnumerationBudgetError(size * size, MATRIX_ENTRY_BUDGET, "matrix entries")
         starts = self._starts
         rows = []
         for p in range(self.max_level + 1):

@@ -81,10 +81,6 @@ _BUILTINS: dict[str, Callable[[int], int]] = {
 _GRAMMAR = "nat | fib | const:<c> | gauss:<q> | even1 | odd | div3 | list:[v1,v2,...]"
 
 
-def builtin_names() -> tuple[str, ...]:
-    return tuple(_BUILTINS) + ("const:<c>", "gauss:<q>", "list:[...]")
-
-
 def parse_sequence(spec: str) -> AdmissibleSequence:
     """Parse a sequence spec string into an AdmissibleSequence.
 

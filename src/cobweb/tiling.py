@@ -31,15 +31,14 @@ walking the subtree again, whenever the walk would stay inside the
 node budget, stay below the cap and leave the witness as it is.  The
 walk would then add exactly those counts, so every result, node count
 included, is the one of the plain search.  The memo takes entries only
-while they fit a fixed byte bound (_MEMO_BYTES), and keeps as many
-block masks at most; past it the search stays exact and stops
-memoising.
+while they fit a fixed byte bound (_MEMO_BYTES); past it the search
+stays exact and stops memoising.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -132,9 +131,10 @@ def build_instance(
 
     Budgets are checked against exact predicted sizes before anything is
     enumerated, so an oversized request fails fast with the true number.
-    Equal chain sets arising from different size permutations are
-    deduplicated; blocks are sorted by their chain tuples, which fixes
-    the search order once and for all.
+    Each distinct size tuple is listed once and a product block's chains
+    determine its subsets, so no two blocks are equal.  Blocks are
+    sorted by their chain tuples, which fixes the search order once and
+    for all.
     """
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
@@ -176,21 +176,17 @@ def build_instance(
     chains = tuple(itertools.product(*(range(1, s + 1) for s in sizes)))
 
     block_size = math.prod(base)
-    seen: dict[tuple[int, ...], Block] = {}
+    blocks = []
     for st in size_tuples:
         if any(t > size for t, size in zip(st, sizes[1:])):
             continue  # a requested size exceeds its level, no such block
         subset_pools = [
             tuple(itertools.combinations(range(1, size + 1), t)) for t, size in zip(st, sizes[1:])
         ]
-        # Blocks of different roots never share a chain, so equal blocks
-        # come only from two size tuples at one root; the first is kept.
         for root in range(1, sizes[0] + 1):
             for subsets in itertools.product(*subset_pools):
-                members = _members(sizes, root, subsets)
-                if members not in seen:
-                    seen[members] = Block(root, st, subsets, members)
-    blocks = tuple(seen[key] for key in sorted(seen))
+                blocks.append(Block(root, st, subsets, _members(sizes, root, subsets)))
+    blocks.sort(key=lambda block: block.chains)
 
     return TilingInstance(
         sequence_spec=seq.name,
@@ -200,7 +196,7 @@ def build_instance(
         level_sizes=sizes,
         block_size=block_size,
         chains=chains,
-        blocks=blocks,
+        blocks=tuple(blocks),
     )
 
 
@@ -264,10 +260,6 @@ class _ExactCover:
         # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
         self.memo: dict[int, tuple[int, int]] = {}
         self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(instance.chains) // 8)
-        # Chain bitmasks of the blocks, built on first use and kept for at
-        # most memo_limit blocks, since a mask is no larger than a memo key.
-        self.masks: list[int] = [0] * len(self.block_chains)
-        self.mask_room = self.memo_limit
 
     def root_branches(self) -> tuple[int, ...]:
         """The blocks through the root pivot: the first chain of fewest blocks."""
@@ -283,16 +275,6 @@ class _ExactCover:
                 self.cache_room -= len(con)
                 self.conflicts[b] = con
         return con
-
-    def mask_of(self, b: int) -> int:
-        """Block b's chains as a bitmask over chain indices."""
-        mask = self.masks[b]
-        if not mask:
-            mask = sum(1 << c for c in self.block_chains[b])
-            if self.mask_room:
-                self.mask_room -= 1
-                self.masks[b] = mask
-        return mask
 
     def search(
         self, first: int, budget: int, cap: int | None
@@ -314,20 +296,21 @@ class _ExactCover:
         block_chains = self.block_chains
         chain_blocks = self.chain_blocks
         conflicts = self.conflicts
-        masks = self.masks
         memo = self.memo
         memo_limit = self.memo_limit
         covered = len(block_chains) + 1
         live = [len(bs) for bs in chain_blocks]
         alive = bytearray(b"\x01") * len(block_chains)
-        # Per selection: the blocks it killed and the node and cover
-        # counts before it.  ``cov`` is the covered-chain mask.
-        trail: list[tuple[list[int], int, int]] = []
+        # Per selection: the blocks it killed and the node count, cover
+        # count and covered-chain mask ``cov`` before it.  ``after`` is
+        # the mask once the next selection is made.
+        trail: list[tuple[list[int], int, int, int]] = []
         chosen: list[int] = []
         frames = []  # per selection: an iterator over its node's untried options
         count = nodes = cov = 0
         witness = None
         b = first
+        after = sum(1 << c for c in block_chains[b])
         while True:
             # Select b: kill every live block that meets it, b included.
             killed = [x for x in conflicts[b] or self.conflicts_of(b) if alive[x]]
@@ -337,8 +320,8 @@ class _ExactCover:
                     live[c] -= 1
             for c in block_chains[b]:
                 live[c] += covered
-            cov |= masks[b] or self.mask_of(b)
-            trail.append((killed, nodes, count))
+            trail.append((killed, nodes, count, cov))
+            cov = after
             chosen.append(b)
 
             nodes += 1
@@ -363,7 +346,7 @@ class _ExactCover:
                     frames.pop()
                     if not frames:  # the root branch is done; its selection stays
                         return count, witness, False, nodes
-                    killed, nodes0, count0 = trail.pop()
+                    killed, nodes0, count0, cov0 = trail.pop()
                     for x in killed:
                         alive[x] = 1
                         for c in block_chains[x]:
@@ -373,9 +356,10 @@ class _ExactCover:
                         live[c] -= covered
                     if len(memo) < memo_limit:
                         memo[cov] = (nodes - nodes0, count - count0)
-                    cov ^= masks[b] or self.mask_of(b)
+                    cov = cov0
                     continue
-                sub = memo.get(cov | (masks[b] or self.mask_of(b)))
+                after = cov | sum(1 << c for c in block_chains[b])
+                sub = memo.get(after)
                 if (
                     sub is None
                     or nodes + sub[0] > budget
@@ -404,34 +388,23 @@ def _worker_search(*args) -> tuple[int, tuple[int, ...] | None, bool, int]:
 def _branch_results(cover: _ExactCover, branches, budget: int, cap: int | None, jobs: int):
     """Yield each root branch's search outcome, in branch order.
 
-    With jobs > 1 a pool keeps up to ``jobs`` branches in flight; once a
-    branch alone reaches the cap, no later branch is handed out, since
-    the caller's running count reaches the cap there at the latest.
+    With jobs > 1 every branch goes to a pool of workers at once; when
+    the caller closes the generator, the branches no worker has started
+    are cancelled.
     """
     if jobs == 1:
         for b in branches:
             yield cover.search(b, budget, cap)
         return
-    workers = min(jobs, len(branches))
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(cover,)) as pool:
-        pending: dict = {}  # future -> branch position
-        done: dict[int, tuple] = {}
-        limit = len(branches)
-        submitted = 0
-        for i in range(len(branches)):
-            if i >= limit:
-                return
-            while i not in done:
-                while submitted < limit and len(pending) < workers:
-                    pending[pool.submit(_worker_search, branches[submitted], budget, cap)] = submitted
-                    submitted += 1
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    j = pending.pop(future)
-                    done[j] = future.result()
-                    if cap is not None and done[j][0] >= cap:
-                        limit = min(limit, j + 1)
-            yield done.pop(i)
+    pool = ProcessPoolExecutor(
+        min(jobs, len(branches)), initializer=_init_worker, initargs=(cover,)
+    )
+    try:
+        futures = [pool.submit(_worker_search, b, budget, cap) for b in branches]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _solve(

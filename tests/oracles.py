@@ -1,0 +1,77 @@
+"""Generic reference computations that the tests compare cobweb's closed forms against.
+
+Each works from level sizes, vertices or matrix rows alone and imports
+nothing from cobweb, so a fault in the library cannot reach the value it
+is checked against.  Vertices are (j, p) pairs: index j within level p.
+"""
+
+
+def leq(u, v):
+    """The cobweb order: u <= v iff u == v or u lies on a strictly lower level."""
+    return u == v or u[1] < v[1]
+
+
+def cover_successors(level_sizes, v):
+    """The vertices covering v: every vertex of the next level, if there is one."""
+    p = v[1] + 1
+    return tuple((j, p) for j in range(1, level_sizes[p] + 1)) if p < len(level_sizes) else ()
+
+
+def chains_of_length(level_sizes, t):
+    """Chains of t vertices, counted one at a time by a depth-first walk."""
+    verts = [(j, p) for p, size in enumerate(level_sizes) for j in range(1, size + 1)]
+    total = 0
+    stack = [(i, 1) for i in range(len(verts))]
+    while stack:
+        i, depth = stack.pop()
+        if depth == t:
+            total += 1
+            continue
+        stack.extend((j, depth + 1) for j in range(i + 1, len(verts)) if verts[i][1] < verts[j][1])
+    return total
+
+
+def leading(rows, size):
+    """The leading size x size block of a matrix given by its rows."""
+    return tuple(row[:size] for row in rows[:size])
+
+
+def invert_unit_upper(rows):
+    """Inverse of a unit upper-triangular integer matrix by back-substitution.
+
+    Bottom-up, inv[i] = e_i - sum over k > i of rows[i][k] * inv[k].
+    """
+    n = len(rows)
+    inv = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = [0] * n
+        acc[i] = 1
+        for k in range(i + 1, n):
+            if rows[i][k]:
+                acc = [x - rows[i][k] * y for x, y in zip(acc, inv[k])]
+        inv[i] = acc
+    return inv
+
+
+def grid_mobius(k, n):
+    """(elements, Mobius rows) of the layer grid P(k, n), by inverting its zeta matrix.
+
+    The elements (l, m), 0 <= l <= k, l < m <= n, are ordered by rank
+    l + m - 1 and then by l, a linear extension of the componentwise order.
+    """
+    els = [(l, m) for l in range(k + 1) for m in range(l + 1, n + 1)]
+    els.sort(key=lambda e: (e[0] + e[1], e[0]))
+    zeta = [[int(a[0] <= b[0] and a[1] <= b[1]) for b in els] for a in els]
+    return els, invert_unit_upper(zeta)
+
+
+def stirling_rows(max_n):
+    """Rows 0..max_n of the Stirling set-partition triangle, each row kept.
+
+    S(n, k) = k S(n-1, k) + S(n-1, k-1), row n holding k = 0..n.
+    """
+    rows = [[1]]
+    for n in range(1, max_n + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    return rows

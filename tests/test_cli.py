@@ -126,6 +126,18 @@ def test_zeta_size_builds_only_the_leading_block(capsys):
 
 
 @pytest.mark.parametrize("which", ["zeta", "mobius"])
+def test_whole_matrix_over_the_entry_budget_exits_3(capsys, which):
+    # fib at 18 levels has 6765 vertices, so 45765225 entries; the
+    # refusal comes before any row is built.
+    code, out, err = run(capsys, which, "fib", "--levels", "18")
+    assert (code, out) == (3, "")
+    assert err == (
+        "inconclusive: enumeration would visit 45765225 matrix entries,"
+        " over the budget of 20000000\n"
+    )
+
+
+@pytest.mark.parametrize("which", ["zeta", "mobius"])
 @pytest.mark.parametrize("size", ["-1", "14"])
 def test_matrix_size_out_of_range(capsys, which, size):
     code, out, err = run(capsys, which, "fib", "--levels", "5", "--size", size)

@@ -4,10 +4,8 @@ from functools import lru_cache
 import pytest
 
 from cobweb import (
-    DiagonalPoset,
     FNomialTable,
     NonIntegralError,
-    bell,
     bell_sequence,
     parse_sequence,
     whitney,
@@ -76,8 +74,8 @@ def test_whitney_frozen_values():
 
 
 def test_bell_values():
-    assert bell(4, parse_sequence("nat")) == 5
-    assert bell(5, parse_sequence("fib")) == 6  # 1 + 3 + 2
+    assert bell_sequence(parse_sequence("nat"), 4)[4] == 5
+    assert bell_sequence(parse_sequence("fib"), 5)[5] == 6  # 1 + 3 + 2
 
 
 def test_bell_sequence_nat_is_fibonacci():
@@ -106,20 +104,20 @@ def test_bell_sequence_prefix_stability():
 
 def test_bell_matches_whitney_sum():
     seq = parse_sequence("gauss:2")
+    bells = bell_sequence(seq, 9)
     for n in range(10):
-        assert bell(n, seq) == sum(whitney(n, k, seq) for k in range(n // 2 + 1))
+        assert bells[n] == sum(whitney(n, k, seq) for k in range(n // 2 + 1))
 
 
 def test_diagonal_poset():
+    """The diagonal structure on 5 has rank counts 1, 4, 3 and size 8."""
     nat = parse_sequence("nat")
-    d = DiagonalPoset(nat, 5)
-    assert list(d.ranks()) == [0, 1, 2]
-    assert [d.rank_count(k) for k in d.ranks()] == [1, 4, 3]
-    assert d.size() == bell(5, nat) == 8
+    assert list(whitney_rows(nat, 5))[5] == [whitney(5, k, nat) for k in range(3)] == [1, 4, 3]
+    assert bell_sequence(nat, 5)[5] == 8
 
 
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
-        bell(-1, parse_sequence("nat"))
+        bell_sequence(parse_sequence("nat"), -1)
     with pytest.raises(ValueError):
         whitney(-2, 0, parse_sequence("nat"))

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from cobweb import (
-    LayerGridPoset,
     bell_like,
     catalan,
     count_grid_max_chains,
@@ -15,6 +14,7 @@ from cobweb import (
     whitney_first,
     whitney_second,
 )
+from oracles import grid_mobius
 
 
 def test_grid_size_formula_vs_enumeration():
@@ -77,33 +77,20 @@ def test_whitney_first_alternating_sum():
     """The grid is the single interval [(0,1), (k,n)], so mu sums to zero.
 
     Each value is also checked against the bottom row of the Mobius
-    matrix obtained by inverting the grid's zeta matrix.
+    matrix obtained by inverting the grid's zeta matrix; the bottom
+    (0, 1) comes first in rank order.
     """
     for n in range(13):
         for k in range(n + 1):
-            grid = LayerGridPoset(k, n)
-            bottom_row = ()
-            if grid.elements:
-                bottom_row = grid.mobius_matrix().rows[grid.elements.index(grid.bottom)]
+            elements, mobius = grid_mobius(k, n)
+            bottom_row = mobius[0] if elements else ()
             for r in range(-2, k + n + 2):
                 expected = sum(
-                    c for (l, m), c in zip(grid.elements, bottom_row) if l + m - 1 == r
+                    c for (l, m), c in zip(elements, bottom_row) if l + m - 1 == r
                 )
                 assert whitney_first(k, n, r) == expected, (k, n, r)
             total = sum(whitney_first(k, n, r) for r in range(k + n))
             assert total == (1 if grid_size(k, n) == 1 else 0)
-
-
-def test_grid_poset_order():
-    g = LayerGridPoset(2, 4)
-    assert g.bottom == (0, 1)
-    assert g.leq((0, 1), (2, 4))
-    assert g.leq((1, 2), (1, 4))
-    assert not g.leq((2, 3), (1, 4))
-    assert g.rank((0, 1)) == 0
-    assert g.rank((2, 4)) == 5
-    with pytest.raises(ValueError):
-        g.leq((0, 0), (1, 2))
 
 
 def test_ballot_form_vs_bruteforce():
