@@ -1,5 +1,9 @@
 """Command-line frontend: one subcommand per module, text or JSON out.
 
+Each cmd_* handler returns (document, lines, code): the JSON document,
+the text lines, formatted only as they are printed, and the exit code.
+main alone prints one of the two answers and maps errors to exit codes.
+
 Exit codes: 0 for a computed answer (including negative verdicts), 1
 for domain errors, 2 for usage errors, 3 for inconclusive outcomes
 (an exceeded budget).  All integers are printed in full decimal; only
@@ -8,6 +12,7 @@ the Dobinski line uses floating-point notation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -44,32 +49,29 @@ def _print_json(obj: dict) -> None:
     print(json.dumps(obj))
 
 
-def cmd_fnomial(args: argparse.Namespace) -> int:
+def _lazy(template: str, *values):
+    """One text line, formatted only if it is printed."""
+    yield template.format(*values)
+
+
+def cmd_fnomial(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
     table = FNomialTable(seq, args.n)
+    doc = {"sequence": seq.name, "n": args.n, "k": args.k}
     try:
         value = table.fnomial(args.n, args.k)
-        obj = {"sequence": seq.name, "n": args.n, "k": args.k, "integer": True, "value": value}
-        text = str(value)
     except NonIntegralError as err:
-        obj = {
-            "sequence": seq.name,
-            "n": args.n,
-            "k": args.k,
-            "integer": False,
-            "value": str(err.fraction),
-            "numerator": err.fraction.numerator,
-            "denominator": err.fraction.denominator,
-        }
-        text = f"non-integer: {err.fraction}"
-    _print_json(obj) if args.format == "json" else print(text)
-    return 0
+        q = err.fraction
+        doc.update(integer=False, value=str(q), numerator=q.numerator, denominator=q.denominator)
+        return doc, _lazy("non-integer: {}", doc["value"]), 0
+    doc.update(integer=True, value=value)
+    return doc, [value], 0
 
 
-def cmd_admissible(args: argparse.Namespace) -> int:
+def cmd_admissible(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
     verdict = is_cobweb_admissible(seq, args.max)
-    obj = {
+    doc = {
         "sequence": seq.name,
         "bound": verdict.requested_bound,
         "admissible": verdict.admissible,
@@ -77,22 +79,17 @@ def cmd_admissible(args: argparse.Namespace) -> int:
         "failure": None,
     }
     if verdict.admissible:
-        text = f"admissible up to {verdict.requested_bound}"
-    else:
-        n, k = verdict.first_failure
-        obj["failure"] = {"n": n, "k": k, "quotient": str(verdict.failure_quotient)}
-        text = (
-            f"not admissible: ({n} {k})_F = {verdict.failure_quotient}; "
-            f"admissible up to {verdict.admissible_up_to}"
-        )
-    _print_json(obj) if args.format == "json" else print(text)
-    return 0
+        return doc, _lazy("admissible up to {}", verdict.requested_bound), 0
+    n, k = verdict.first_failure
+    doc["failure"] = {"n": n, "k": k, "quotient": str(verdict.failure_quotient)}
+    template = "not admissible: ({} {})_F = {}; admissible up to {}"
+    return doc, _lazy(template, n, k, doc["failure"]["quotient"], verdict.admissible_up_to), 0
 
 
-def cmd_gcdmorphic(args: argparse.Namespace) -> int:
+def cmd_gcdmorphic(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
     verdict = is_gcd_morphic(seq, args.max)
-    obj = {
+    doc = {
         "sequence": seq.name,
         "bound": verdict.requested_bound,
         "gcd_morphic": verdict.gcd_morphic,
@@ -100,130 +97,83 @@ def cmd_gcdmorphic(args: argparse.Namespace) -> int:
         "failure": None,
     }
     if verdict.gcd_morphic:
-        text = f"gcd-morphic up to {verdict.requested_bound}"
-    else:
-        n, m = verdict.first_failure
-        obj["failure"] = {"n": n, "m": m, "gcd": verdict.gcd_value, "expected": verdict.expected}
-        text = (
-            f"not gcd-morphic: GCD(F_{n}, F_{m}) = {verdict.gcd_value}, "
-            f"expected {verdict.expected}; morphic up to {verdict.morphic_up_to}"
-        )
-    _print_json(obj) if args.format == "json" else print(text)
-    return 0
+        return doc, _lazy("gcd-morphic up to {}", verdict.requested_bound), 0
+    n, m = verdict.first_failure
+    doc["failure"] = {"n": n, "m": m, "gcd": verdict.gcd_value, "expected": verdict.expected}
+    template = "not gcd-morphic: GCD(F_{}, F_{}) = {}, expected {}; morphic up to {}"
+    return doc, _lazy(template, n, m, verdict.gcd_value, verdict.expected, verdict.morphic_up_to), 0
 
 
-def _matrix_command(args: argparse.Namespace, which: str) -> int:
+def cmd_matrix(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
     poset = CobwebPoset(seq, args.levels)
-    mat = poset.zeta_matrix(args.size) if which == "zeta" else poset.mobius_matrix(args.size)
-    if args.format == "json":
-        _print_json(
-            {
-                "sequence": seq.name,
-                "levels": args.levels,
-                "matrix": which,
-                "order": [[j, p] for j, p in mat.order],
-                "rows": [list(row) for row in mat.rows],
-            }
-        )
-    else:
-        sys.stdout.write(mat.dump())
-    return 0
+    mat = poset.zeta_matrix(args.size) if args.which == "zeta" else poset.mobius_matrix(args.size)
+    doc = {
+        "sequence": seq.name,
+        "levels": args.levels,
+        "matrix": args.which,
+        "order": mat.order,
+        "rows": mat.rows,
+    }
+    # The dump ends in the newline that print adds.
+    return doc, (m.dump()[:-1] for m in [mat]), 0
 
 
-def cmd_zeta(args: argparse.Namespace) -> int:
-    return _matrix_command(args, "zeta")
-
-
-def cmd_mobius(args: argparse.Namespace) -> int:
-    return _matrix_command(args, "mobius")
-
-
-def cmd_chains(args: argparse.Namespace) -> int:
+def cmd_chains(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
     poset = CobwebPoset(seq, args.to_level)
-    if args.enumerate:
-        # The generator checks the span and the budget before its first
-        # chain, so a refused request prints nothing.
-        chains = poset.enumerate_max_chains(args.from_level, args.to_level, args.budget)
-        if args.format == "json":
-            nested = [[[j, p] for j, p in chain] for chain in chains]
-            _print_json(
-                {
-                    "sequence": seq.name,
-                    "from": args.from_level,
-                    "to": args.to_level,
-                    "count": len(nested),
-                    "chains": nested,
-                }
-            )
-        else:
-            for chain in chains:
-                print(" ".join(f"({j},{p})" for j, p in chain))
-        return 0
-    count = poset.count_max_chains(args.from_level, args.to_level)
+    doc = {"sequence": seq.name, "from": args.from_level, "to": args.to_level}
+    if not args.enumerate:
+        doc["count"] = count = poset.count_max_chains(args.from_level, args.to_level)
+        return doc, [count], 0
+    # The generator checks the span and the budget before its first
+    # chain, so a refused request prints nothing; text streams the chains.
+    chains = poset.enumerate_max_chains(args.from_level, args.to_level, args.budget)
     if args.format == "json":
-        _print_json(
-            {"sequence": seq.name, "from": args.from_level, "to": args.to_level, "count": count}
-        )
-    else:
-        print(count)
-    return 0
+        chains = list(chains)
+        doc.update(count=len(chains), chains=chains)
+    return doc, (" ".join(f"({j},{p})" for j, p in chain) for chain in chains), 0
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
+def cmd_grid(args: argparse.Namespace) -> tuple:
     k, n = args.k, args.n
     if args.whitney:
         ranks = [
             {"rank": r, "whitney_second": whitney_second(k, n, r), "whitney_first": whitney_first(k, n, r)}
             for r in range(0, k + n)
         ]
-        if args.format == "json":
-            _print_json({"k": k, "n": n, "size": grid_size(k, n), "ranks": ranks})
-        else:
-            print("# rank whitney2 whitney1")
-            for row in ranks:
-                print(f"{row['rank']} {row['whitney_second']} {row['whitney_first']}")
-        return 0
+        rows = (" ".join(map(str, row.values())) for row in ranks)
+        doc = {"k": k, "n": n, "size": grid_size(k, n), "ranks": ranks}
+        return doc, itertools.chain(["# rank whitney2 whitney1"], rows), 0
     if args.bell:
-        value = bell_like(k, n)
-        key = "bell"
+        key, value = "bell", bell_like(k, n)
     elif args.maxchains:
-        value = count_grid_max_chains(k, n)
-        key = "max_chains"
+        key, value = "max_chains", count_grid_max_chains(k, n)
     else:
-        value = grid_size(k, n)
-        key = "size"
-    if args.format == "json":
-        _print_json({"k": k, "n": n, key: value})
-    else:
-        print(value)
-    return 0
+        key, value = "size", grid_size(k, n)
+    return {"k": k, "n": n, key: value}, [value], 0
 
 
-def cmd_diagonal(args: argparse.Namespace) -> int:
+def cmd_diagonal(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
-    triangle = None
+    doc = {"sequence": seq.name, "n": args.n}
     if args.triangle:
-        triangle = list(whitney_rows(seq, args.n))
-        bells = [sum(row) for row in triangle]
+        rows = list(whitney_rows(seq, args.n))
+        doc.update(bells=[sum(row) for row in rows], triangle=rows)
     else:
-        bells = bell_sequence(seq, args.n)
-    if args.format == "json":
-        obj = {"sequence": seq.name, "n": args.n, "bells": bells}
-        if triangle is not None:
-            obj["triangle"] = triangle
-        _print_json(obj)
-    else:
-        if triangle is not None:
-            for row in triangle:
-                print(" ".join(str(x) for x in row))
-        else:
-            print(" ".join(str(b) for b in bells))
-    return 0
+        doc["bells"] = bells = bell_sequence(seq, args.n)
+        rows = [bells]
+    return doc, (" ".join(map(str, row)) for row in rows), 0
 
 
-def cmd_tile(args: argparse.Namespace) -> int:
+_COUNT_LINES = {
+    "exact": "count: {}",
+    "capped": "count: >={}",
+    "inconclusive": "count: >={} (search incomplete)",
+}
+
+
+def cmd_tile(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
     node_budget = args.node_budget
     if node_budget is None:
@@ -243,7 +193,7 @@ def cmd_tile(args: argparse.Namespace) -> int:
         universe_budget=args.universe_budget,
         block_budget=args.block_budget,
     )
-    obj: dict = {
+    doc: dict = {
         "sequence": seq.name,
         "k": args.k,
         "n": args.n,
@@ -251,8 +201,7 @@ def cmd_tile(args: argparse.Namespace) -> int:
         "universe": instance.universe_size,
         "candidate_blocks": len(instance.blocks),
     }
-    lines: list[str] = []
-
+    count_line = ()
     if args.count:
         result = count_partitions(
             instance, cap=args.cap, jobs=args.jobs, node_budget=node_budget
@@ -263,46 +212,30 @@ def cmd_tile(args: argparse.Namespace) -> int:
             verdict = "no"
         else:
             verdict = "inconclusive"
-        obj["count"] = {"status": result.status, "value": result.count}
-        if result.status == "exact":
-            lines.append(f"count: {result.count}")
-        elif result.status == "capped":
-            lines.append(f"count: >={result.count}")
-        else:
-            lines.append(f"count: >={result.count} (search incomplete)")
+        doc["count"] = {"status": result.status, "value": result.count}
+        count_line = _lazy(_COUNT_LINES[result.status], result.count)
     else:
         result = exists_partition(instance, jobs=args.jobs, node_budget=node_budget)
         verdict = result.status
-    obj["verdict"] = verdict
-    lines.insert(0, verdict)
-    if args.witness and result.witness is not None:
-        obj["witness"] = witness_to_json(instance, result.witness)
-        for b in result.witness:
-            lines.append("block: " + " ".join(str(c) for c in instance.blocks[b].chains))
-    if args.format == "json":
-        _print_json(obj)
-    else:
-        for line in lines:
-            print(line)
-    return 3 if result.status == "inconclusive" else 0
+    doc["verdict"] = verdict
+    witness = result.witness if args.witness else None
+    if witness is not None:
+        doc["witness"] = witness_to_json(instance, witness)
+    blocks = ("block: " + " ".join(map(str, instance.blocks[b].chains)) for b in witness or ())
+    lines = itertools.chain([verdict], count_line, blocks)
+    return doc, lines, 3 if result.status == "inconclusive" else 0
 
 
-def cmd_bell_classic(args: argparse.Namespace) -> int:
+def cmd_bell_classic(args: argparse.Namespace) -> tuple:
     value = bell_exact(args.n)
+    doc = {"n": args.n, "bell": value}
     if args.dobinski is None:
-        if args.format == "json":
-            _print_json({"n": args.n, "bell": value})
-        else:
-            print(value)
-        return 0
+        return doc, [value], 0
     approx = bell_dobinski(args.n, args.dobinski)
     rel_err = abs(approx - value) / value if value else 0.0
-    if args.format == "json":
-        _print_json({"n": args.n, "bell": value, "dobinski": approx, "rel_err": rel_err})
-    else:
-        print(value)
-        print(f"dobinski: {approx!r} (rel_err {rel_err:.3e})")
-    return 0
+    doc.update(dobinski=approx, rel_err=rel_err)
+    dobinski_line = _lazy("dobinski: {!r} (rel_err {:.3e})", approx, rel_err)
+    return doc, itertools.chain([value], dobinski_line), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,17 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True)
     p.set_defaults(func=cmd_gcdmorphic)
 
-    p = sub.add_parser("zeta", parents=[fmt], help="zeta matrix, level-major order")
-    p.add_argument("seq")
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--size", type=int, default=None, help="leading block to print")
-    p.set_defaults(func=cmd_zeta)
-
-    p = sub.add_parser("mobius", parents=[fmt], help="Mobius matrix (exact inverse of zeta)")
-    p.add_argument("seq")
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--size", type=int, default=None, help="leading block to print")
-    p.set_defaults(func=cmd_mobius)
+    for which, summary in (
+        ("zeta", "zeta matrix, level-major order"),
+        ("mobius", "Mobius matrix (exact inverse of zeta)"),
+    ):
+        p = sub.add_parser(which, parents=[fmt], help=summary)
+        p.add_argument("seq")
+        p.add_argument("--levels", type=int, required=True)
+        p.add_argument("--size", type=int, default=None, help="leading block to print")
+        p.set_defaults(func=cmd_matrix, which=which)
 
     p = sub.add_parser("chains", parents=[fmt], help="saturated chains over a level span")
     p.add_argument("seq")
@@ -399,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Integers print in full however long they are, so the interpreter's
     # int-to-str digit limit (Python 3.11+) is lifted for this call only.
     lift_digit_limit = hasattr(sys, "set_int_max_str_digits")
@@ -408,7 +338,21 @@ def main(argv=None) -> int:
         saved_digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        document, lines, code = args.func(args)
+        try:
+            if args.format == "json":
+                _print_json(document)
+            else:
+                for line in lines:
+                    print(line)
+            if sys.stdout is not None:  # None when started with stdout closed
+                sys.stdout.flush()  # a closed pipe shows here, not at exit
+        except BrokenPipeError:
+            # The reader closed stdout.  Pointing it at the null device keeps
+            # the interpreter's final flush quiet; 1 is Python's own EPIPE code.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        return code
     except SequenceSpecError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

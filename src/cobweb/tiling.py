@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -385,28 +384,6 @@ def _worker_search(*args) -> tuple[int, tuple[int, ...] | None, bool, int]:
     return _worker_cover.search(*args)
 
 
-def _branch_results(cover: _ExactCover, branches, budget: int, cap: int | None, jobs: int):
-    """Yield each root branch's search outcome, in branch order.
-
-    With jobs > 1 every branch goes to a pool of workers at once; when
-    the caller closes the generator, the branches no worker has started
-    are cancelled.
-    """
-    if jobs == 1:
-        for b in branches:
-            yield cover.search(b, budget, cap)
-        return
-    pool = ProcessPoolExecutor(
-        min(jobs, len(branches)), initializer=_init_worker, initargs=(cover,)
-    )
-    try:
-        futures = [pool.submit(_worker_search, b, budget, cap) for b in branches]
-        for future in futures:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _solve(
     instance: TilingInstance,
     cap: int | None,
@@ -417,10 +394,12 @@ def _solve(
 
     The search always branches once at the root pivot and solves each
     branch with an equal share of the node budget, taking the branches
-    in order and stopping once the count reaches the cap.  The witness
-    is the first cover of the first branch that has one.  Parallel runs
-    consume the same outcomes in the same order, so serial and parallel
-    runs agree on every field.
+    in order and stopping once the count reaches the cap.  A budget
+    smaller than the number of root branches gives no branch a node, so
+    the search stops at the root, exhausted.  The witness is the first
+    cover of the first branch that has one.  Parallel runs consume the
+    same outcomes in the same order, so serial and parallel runs agree
+    on every field.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -438,10 +417,20 @@ def _solve(
     if not branches:
         return 0, None, False, 1
 
-    per_branch = max(1, node_budget // len(branches))
+    per_branch = node_budget // len(branches)
+    if not per_branch:
+        return 0, None, True, 1
+    searches = (branches, itertools.repeat(per_branch), itertools.repeat(cap))
     count, witness, exhausted, nodes = 0, None, False, 1
-    results = _branch_results(cover, branches, per_branch, cap, jobs)
-    with closing(results):
+    pool = None
+    try:
+        if jobs == 1:
+            results = map(cover.search, *searches)
+        else:
+            pool = ProcessPoolExecutor(
+                min(jobs, len(branches)), initializer=_init_worker, initargs=(cover,)
+            )
+            results = pool.map(_worker_search, *searches)
         for b_count, b_witness, b_exhausted, b_nodes in results:
             count += b_count
             exhausted = exhausted or b_exhausted
@@ -449,6 +438,9 @@ def _solve(
             witness = witness or b_witness
             if cap is not None and count >= cap:
                 break
+    finally:
+        if pool is not None:  # branches no worker has started are dropped
+            pool.shutdown(cancel_futures=True)
     return count, witness, exhausted, nodes
 
 
@@ -534,18 +526,29 @@ def instance_to_json(instance: TilingInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> TilingInstance:
-    """Rebuild an instance, revalidating its chains and each block.
+    """Rebuild an instance, revalidating its fields, its chains and each block.
 
-    The chain list must be the product of the level ranges, and a
-    block's root and subsets must be strictly ascending entries of their
-    levels, so that its chain indices are the mixed-radix values of its
-    chains; these must equal the block's chain list.
+    The sigma policy must be a known one and the level sizes must span
+    levels k..n.  The chain list must be the product of the level
+    ranges, and a block's root and subsets must be strictly ascending
+    entries of their levels, so that its chain indices are the
+    mixed-radix values of its chains; these must equal the block's chain
+    list.  A block's sizes are its subset lengths, every block has
+    block_size chains, and no block appears twice.
     """
+    policy = doc["sigma_policy"]
+    if policy not in SIGMA_POLICIES:
+        raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}, got {policy!r}")
     sizes = tuple(doc["level_sizes"])
+    if len(sizes) != doc["n"] - doc["k"] + 1:
+        raise ValueError(f"level sizes {sizes} do not span levels {doc['k']}..{doc['n']}")
     chains = tuple(tuple(c) for c in doc["chains"])
     if chains != tuple(itertools.product(*(range(1, s + 1) for s in sizes))):
         raise ValueError(f"chain list is not the product of the level ranges {sizes}")
+    if doc["block_size"] < 1:
+        raise ValueError(f"block size must be >= 1, got {doc['block_size']}")
     blocks = []
+    seen = set()
     for entry in doc["blocks"]:
         subsets = tuple(tuple(s) for s in entry["subsets"])
         levels = ((entry["root"],),) + subsets
@@ -556,15 +559,22 @@ def instance_from_json(doc: dict) -> TilingInstance:
                 raise ValueError(f"block {entry}: {list(level)} is not inside a level of {size}")
             if any(a >= b for a, b in zip(level, level[1:])):
                 raise ValueError(f"block {entry}: {list(level)} is not strictly ascending")
+        if tuple(entry["sizes"]) != tuple(map(len, subsets)):
+            raise ValueError(f"block {entry}: sizes are not its subset lengths")
         members = _members(sizes, entry["root"], subsets)
         if members != tuple(entry["chains"]):
             raise ValueError(f"block {entry} disagrees with its chain list")
+        if len(members) != doc["block_size"]:
+            raise ValueError(f"block {entry} does not have block size {doc['block_size']}")
+        if members in seen:
+            raise ValueError(f"block {entry} appears twice")
+        seen.add(members)
         blocks.append(Block(entry["root"], tuple(entry["sizes"]), subsets, members))
     return TilingInstance(
         sequence_spec=doc["sequence"],
         k=doc["k"],
         n=doc["n"],
-        sigma_policy=doc["sigma_policy"],
+        sigma_policy=policy,
         level_sizes=sizes,
         block_size=doc["block_size"],
         chains=chains,

@@ -4,7 +4,9 @@ import functools
 import io
 import itertools
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cobweb
 from cobweb import (
     CobwebPoset,
     FNomialTable,
@@ -227,6 +230,25 @@ def test_chains_enumerate_text_bytes(capsys):
     )
     assert (code, out, err) == (0, expected, "")
     assert out.count("\n") == 120
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 5040 chains, far more than a pipe buffer holds: the CLI is still
+    # writing when the reader goes away.
+    src = str(pathlib.Path(cobweb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["chains", "nat", "--from", "1", "--to", "7", "--enumerate"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cobweb.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"(1,1) (1,2) (1,3) (1,4) (1,5) (1,6) (1,7)\n"
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_grid_outputs(capsys):
@@ -520,11 +542,17 @@ def command_lines(draw):
 @settings(max_examples=300, deadline=None)
 @given(argv=command_lines())
 def test_every_outcome_is_a_contract_exit_code(argv):
-    """0 answer, 1 domain error, 2 usage error, 3 budget; nothing escapes."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+    """0 answer, 1 domain error, 2 usage error, 3 budget; nothing escapes.
+
+    A failed command prints nothing on stdout; only tile's inconclusive
+    verdict is an answer that exits 3.
+    """
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code in (1, 2) or (code == 3 and argv[0] != "tile"):
+        assert out.getvalue() == "", (argv, code)

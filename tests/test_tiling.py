@@ -266,7 +266,8 @@ def reference_search(inst, cap, node_budget):
     """The search without its subtree memo: (count, witness, exhausted, nodes).
 
     Every node is walked: the same pivot rule, option order, root split
-    and per-branch node budget as count_partitions.
+    and per-branch node budget as count_partitions, which stops at the
+    root when the budget is smaller than the number of root branches.
     """
     block_chains = [block.chains for block in inst.blocks]
     chain_blocks = [[] for _ in inst.chains]
@@ -277,7 +278,9 @@ def reference_search(inst, cap, node_budget):
     branches = chain_blocks[counts.index(min(counts))]
     if not branches:
         return 0, None, False, 1
-    budget = max(1, node_budget // len(branches))
+    budget = node_budget // len(branches)
+    if not budget:
+        return 0, None, True, 1
     total, first_witness, any_exhausted, total_nodes = 0, None, False, 1
     for first in branches:
         covered = len(block_chains) + 1
@@ -339,6 +342,7 @@ def reference_search(inst, cap, node_budget):
 @settings(max_examples=40, deadline=None)
 @example(spec="nat", k=2, n=4, sigma="all", node_budget=300, cap=3)
 @example(spec="nat", k=2, n=4, sigma="all", node_budget=2000, cap=100)
+@example(spec="nat", k=1, n=4, sigma="all", node_budget=5, cap=None)  # 13 root branches
 @given(
     spec=st.sampled_from(SPECS),
     k=st.integers(0, 4),
@@ -387,6 +391,13 @@ def test_node_budget_inconclusive():
     assert search.status in ("yes", "inconclusive")  # tiny budgets never report "no"
     full = count_partitions(inst)
     assert full.status == "exact" and full.count == 4
+
+
+def test_node_budget_below_the_root_branches_stops_at_the_root():
+    # 876 root branches: a budget of one node enters none of them.
+    inst = build_instance(parse_sequence("fib"), 1, 6)
+    assert exists_partition(inst, node_budget=1) == TilingSearchResult("inconclusive", None, 1)
+    assert count_partitions(inst, node_budget=875) == TilingCountResult("inconclusive", 0, 1, None)
 
 
 def test_universe_budget_exact_prediction():
@@ -510,6 +521,25 @@ def _with_block_0(root, subsets, chains) -> dict:
 def test_block_entries_must_lie_in_their_levels(root, subsets, chains, match):
     with pytest.raises(ValueError, match=match):
         instance_from_json(_with_block_0(root, subsets, chains))
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: doc.update(block_size=0), "block size"),  # count would divide by 0
+        (lambda doc: doc.update(block_size=4), "block size"),  # blocks hold 2 chains
+        (lambda doc: doc["blocks"][0].update(sizes=[7, 9]), "subset lengths"),
+        (lambda doc: doc.update(sigma_policy="bogus"), "sigma_policy"),
+        (lambda doc: doc.update(k=5), "do not span"),  # three level sizes
+        (lambda doc: doc["blocks"].append(doc["blocks"][0]), "twice"),  # a fifth partition
+    ],
+    ids=["block-size-0", "block-size-4", "sizes", "sigma-policy", "k", "repeated-block"],
+)
+def test_instance_fields_must_agree_with_the_blocks(edit, match):
+    doc = instance_to_json(build_instance(parse_sequence("nat"), 1, 3))
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
+        instance_from_json(doc)
 
 
 @pytest.mark.parametrize("subset, chains", [([2, 1], [1, 0]), ([1, 1], [0, 0])])
