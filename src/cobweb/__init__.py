@@ -16,7 +16,7 @@ from .sequences import (
     is_gcd_morphic,
     parse_sequence,
 )
-from .fnomial import FNomialTable, NonIntegralError
+from .fnomial import FNomialTable, NonIntegralError, fnomial_coefficient
 from .poset import (
     CobwebPoset,
     EnumerationBudgetError,
@@ -64,6 +64,7 @@ __all__ = [
     "parse_sequence",
     "FNomialTable",
     "NonIntegralError",
+    "fnomial_coefficient",
     "CobwebPoset",
     "EnumerationBudgetError",
     "IncidenceMatrix",

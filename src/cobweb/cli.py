@@ -19,7 +19,7 @@ import sys
 
 from .diagonal import bell_sequence, whitney_rows
 from .dobinski import bell_dobinski, bell_exact
-from .fnomial import FNomialTable, NonIntegralError
+from .fnomial import NonIntegralError, fnomial_coefficient
 from .layer_grid import (
     bell_like,
     count_grid_max_chains,
@@ -38,7 +38,6 @@ from .tiling import (
     TilingBudgetError,
     build_instance,
     count_partitions,
-    exists_partition,
     witness_to_json,
 )
 
@@ -56,10 +55,9 @@ def _lazy(template: str, *values):
 
 def cmd_fnomial(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
-    table = FNomialTable(seq, args.n)
     doc = {"sequence": seq.name, "n": args.n, "k": args.k}
     try:
-        value = table.fnomial(args.n, args.k)
+        value = fnomial_coefficient(seq, args.n, args.k)
     except NonIntegralError as err:
         q = err.fraction
         doc.update(integer=False, value=str(q), numerator=q.numerator, denominator=q.denominator)
@@ -201,23 +199,14 @@ def cmd_tile(args: argparse.Namespace) -> tuple:
         "universe": instance.universe_size,
         "candidate_blocks": len(instance.blocks),
     }
+    result = count_partitions(
+        instance, cap=args.cap if args.count else 1, jobs=args.jobs, node_budget=node_budget
+    )
     count_line = ()
     if args.count:
-        result = count_partitions(
-            instance, cap=args.cap, jobs=args.jobs, node_budget=node_budget
-        )
-        if result.count >= 1:
-            verdict = "yes"
-        elif result.status == "exact":
-            verdict = "no"
-        else:
-            verdict = "inconclusive"
         doc["count"] = {"status": result.status, "value": result.count}
         count_line = _lazy(_COUNT_LINES[result.status], result.count)
-    else:
-        result = exists_partition(instance, jobs=args.jobs, node_budget=node_budget)
-        verdict = result.status
-    doc["verdict"] = verdict
+    doc["verdict"] = verdict = result.verdict
     witness = result.witness if args.witness else None
     if witness is not None:
         doc["witness"] = witness_to_json(instance, witness)

@@ -11,41 +11,27 @@ whole triangle costs one exact division per entry and no factorials.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .fnomial import NonIntegralError
+from .fnomial import NonIntegralError, fnomial_coefficient
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from .sequences import AdmissibleSequence
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
 
 
 def whitney(n: int, k: int, seq: "AdmissibleSequence") -> int:
     """S(k, n-k, F) = (n-k choose k)_F while 2k <= n, else 0.
 
     The k = n/2 layer of even n is a single element and is counted.
-    The coefficient is F_m ... F_{m-k+1} / k_F! with m = n - k, exact
-    or NonIntegralError.
+    The coefficient is fnomial_coefficient(seq, n - k, k), exact or
+    NonIntegralError.
     """
-    _check_nk(n, k)
+    if n < 0 or k < 0:
+        raise ValueError(f"need n >= 0 and k >= 0, got n={n}, k={k}")
     if 2 * k > n:
         return 0
-    m = n - k
-    f = seq.values(m)
-    num = math.prod(f[m - k + 1 : m + 1])
-    den = math.prod(f[1 : k + 1])
-    q, r = divmod(num, den)
-    if r:
-        raise NonIntegralError(m, k, Fraction(num, den))
-    return q
+    return fnomial_coefficient(seq, n - k, k)
 
 
 def whitney_rows(seq: "AdmissibleSequence", n_max: int) -> Iterator[list[int]]:

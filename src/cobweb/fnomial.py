@@ -6,6 +6,7 @@ reported as a reduced fraction, never rounded.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -24,6 +25,27 @@ class NonIntegralError(ArithmeticError):
         self.k = k
         self.fraction = fraction
         super().__init__(f"({n} {k})_F = {fraction} is not an integer")
+
+
+def fnomial_coefficient(seq: "AdmissibleSequence", n: int, k: int) -> int:
+    """(n k)_F = F_n ... F_{n-j+1} / (F_1 ... F_j), j = min(k, n-k).
+
+    Exact, or NonIntegralError carrying the reduced fraction, which is
+    n_F! / (k_F! (n-k)_F!).  Only F_n and the 2j factors are read, so a
+    sequence that ends before n is an error even for k = 0 or k = n.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if k < 0 or k > n:
+        raise ValueError(f"fnomial needs 0 <= k <= n, got k={k}, n={n}")
+    seq.value(n)  # a sequence that ends before n fails here, even when j = 0
+    j = min(k, n - k)
+    num = math.prod(seq.value(n - i) for i in range(j))
+    den = math.prod(seq.value(i) for i in range(1, j + 1))
+    q, r = divmod(num, den)
+    if r:
+        raise NonIntegralError(n, k, Fraction(num, den))
+    return q
 
 
 class FNomialTable:
@@ -73,17 +95,6 @@ class FNomialTable:
         return out
 
     def fnomial(self, n: int, k: int) -> int:
-        """(n k)_F = n_F! / (k_F! (n-k)_F!), exact or NonIntegralError.
-
-        The quotient is taken with divmod; a nonzero remainder raises
-        NonIntegralError carrying the reduced fraction.
-        """
+        """(n k)_F within the primed range; see fnomial_coefficient."""
         self._check(n)
-        if k < 0 or k > n:
-            raise ValueError(f"fnomial needs 0 <= k <= n, got k={k}, n={n}")
-        num = self._factorials[n]
-        den = self._factorials[k] * self._factorials[n - k]
-        q, r = divmod(num, den)
-        if r:
-            raise NonIntegralError(n, k, Fraction(num, den))
-        return q
+        return fnomial_coefficient(self.seq, n, k)

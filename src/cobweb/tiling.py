@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -117,6 +118,13 @@ class TilingCountResult:
     nodes: int
     witness: tuple[int, ...] | None  # block indices
 
+    @property
+    def verdict(self) -> str:
+        """"yes" if a partition was found, "no" if a complete search found none."""
+        if self.count >= 1:
+            return "yes"
+        return "no" if self.status == "exact" else "inconclusive"
+
 
 def build_instance(
     seq: "AdmissibleSequence",
@@ -129,7 +137,8 @@ def build_instance(
     """Enumerate the chain universe and every candidate block.
 
     Budgets are checked against exact predicted sizes before anything is
-    enumerated, so an oversized request fails fast with the true number.
+    enumerated, so an oversized request fails fast with the true number,
+    the universe first: the admissibility scan is quadratic in n.
     Each distinct size tuple is listed once and a product block's chains
     determine its subsets, so no two blocks are equal.  Blocks are
     sorted by their chain tuples, which fixes the search order once and
@@ -144,6 +153,13 @@ def build_instance(
     if block_budget is None:
         block_budget = DEFAULT_BLOCK_BUDGET
 
+    m = n - k
+    sizes = tuple(1 if p == 0 else seq.value(p) for p in range(k, n + 1))
+
+    predicted_universe = math.prod(sizes)
+    if predicted_universe > universe_budget:
+        raise TilingBudgetError("universe", predicted_universe, universe_budget)
+
     verdict = is_cobweb_admissible(seq, n)
     if not verdict.admissible:
         fn, fk = verdict.first_failure  # type: ignore[misc]
@@ -151,13 +167,6 @@ def build_instance(
             f"sequence {seq.name!r} is not cobweb-admissible up to {n}: "
             f"({fn} {fk})_F = {verdict.failure_quotient}"
         )
-
-    m = n - k
-    sizes = tuple(1 if p == 0 else seq.value(p) for p in range(k, n + 1))
-
-    predicted_universe = math.prod(sizes)
-    if predicted_universe > universe_budget:
-        raise TilingBudgetError("universe", predicted_universe, universe_budget)
 
     base = [seq.value(i) for i in range(1, m + 1)]
     if sigma_policy == "identity":
@@ -384,6 +393,14 @@ def _worker_search(*args) -> tuple[int, tuple[int, ...] | None, bool, int]:
     return _worker_cover.search(*args)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _solve(
     instance: TilingInstance,
     cap: int | None,
@@ -399,7 +416,8 @@ def _solve(
     the search stops at the root, exhausted.  The witness is the first
     cover of the first branch that has one.  Parallel runs consume the
     same outcomes in the same order, so serial and parallel runs agree
-    on every field.
+    on every field.  Fork starts every pool worker at once, so there are
+    no more than the root branches or the CPUs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -408,10 +426,6 @@ def _solve(
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
 
-    if instance.universe_size % instance.block_size:
-        raise AssertionError(
-            "universe size must be a multiple of the block size for an admissible sequence"
-        )
     cover = _ExactCover(instance)
     branches = cover.root_branches()
     if not branches:
@@ -428,7 +442,7 @@ def _solve(
             results = map(cover.search, *searches)
         else:
             pool = ProcessPoolExecutor(
-                min(jobs, len(branches)), initializer=_init_worker, initargs=(cover,)
+                min(jobs, len(branches), _cpu_count()), initializer=_init_worker, initargs=(cover,)
             )
             results = pool.map(_worker_search, *searches)
         for b_count, b_witness, b_exhausted, b_nodes in results:
@@ -455,12 +469,8 @@ def exists_partition(
     the whole tree fit inside the node budget, otherwise the verdict is
     "inconclusive".
     """
-    count, witness, exhausted, nodes = _solve(instance, 1, jobs, node_budget)
-    if count >= 1:
-        return TilingSearchResult("yes", witness, nodes)
-    if exhausted:
-        return TilingSearchResult("inconclusive", None, nodes)
-    return TilingSearchResult("no", None, nodes)
+    result = count_partitions(instance, 1, jobs, node_budget)
+    return TilingSearchResult(result.verdict, result.witness, result.nodes)
 
 
 def count_partitions(

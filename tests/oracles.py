@@ -1,9 +1,22 @@
 """Generic reference computations that the tests compare cobweb's closed forms against.
 
-Each works from level sizes, vertices or matrix rows alone and imports
-nothing from cobweb, so a fault in the library cannot reach the value it
-is checked against.  Vertices are (j, p) pairs: index j within level p.
+Each works from level sizes, sequence values, vertices or matrix rows
+alone and imports nothing from cobweb, so a fault in the library cannot
+reach the value it is checked against.  Vertices are (j, p) pairs:
+index j within level p.
 """
+from fractions import Fraction
+
+
+def fnomial_by_factorials(values, n, k):
+    """(n k)_F as the reduced Fraction n_F! / (k_F! (n-k)_F!), from values = [F_0, F_1, ...].
+
+    Every F-factorial up to n_F! is built and divided, the definition read literally.
+    """
+    facts = [1]
+    for v in values[1 : n + 1]:
+        facts.append(facts[-1] * v)
+    return Fraction(facts[n], facts[k] * facts[n - k])
 
 
 def leq(u, v):

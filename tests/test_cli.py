@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 import cobweb
 from cobweb import (
     CobwebPoset,
-    FNomialTable,
     build_instance,
     cli,
+    count_partitions,
     exists_partition,
     parse_sequence,
 )
 from cobweb.cli import main
+from oracles import fnomial_by_factorials
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -62,10 +63,25 @@ def test_fnomial_json_non_integer(capsys):
 
 
 def test_fnomial_domain_error(capsys):
-    code, out, err = run(capsys, "fnomial", "fib", "2", "5")
-    assert code == 1
-    assert out == ""
-    assert "error" in err
+    # A list that ends before n has no coefficient there, even at k = 0 or k = n.
+    for argv in (["fib", "2", "5"], ["list:[2,3]", "5", "0"], ["list:[2,3]", "5", "5"]):
+        code, out, err = run(capsys, "fnomial", *argv)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
+
+def test_fnomial_builds_no_factorial_table(capsys):
+    # F_2000 has 418 digits; the F-factorials up to 2000_F! would take about 120 MB.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "fnomial", "fib", "2000", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert int(out) == parse_sequence("fib").value(2000)
+    assert peak < 5_000_000
 
 
 def test_bad_sequence_is_usage_error(capsys):
@@ -311,11 +327,15 @@ def test_tile_count_witness_is_one_search(capsys, monkeypatch, flags, count_line
     blocks = [" ".join(str(c) for c in inst.blocks[b].chains) for b in witness]
     expected = "".join(f"{line}\n" for line in ["yes", count_line] + [f"block: {b}" for b in blocks])
 
-    def second_search(*args, **kwargs):
-        raise AssertionError("tile --count ran a second search")
+    searches = []
 
-    monkeypatch.setattr(cli, "exists_partition", second_search)
+    def one_search(*args, **kwargs):
+        searches.append(args)
+        return count_partitions(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "count_partitions", one_search)
     assert run(capsys, "tile", "nat", "1", "3", "--count", "--witness", *flags) == (code, expected, "")
+    assert len(searches) == 1
 
 
 def test_tile_no(capsys):
@@ -384,6 +404,13 @@ def test_tile_search_deeper_than_the_recursion_limit(capsys, n):
     assert sys.getrecursionlimit() == limit
 
 
+@pytest.mark.parametrize("spec, k, n, code", [("odd", 1, 12, 3), ("odd", 1, 4, 1)])
+def test_tile_universe_budget_before_admissibility(capsys, spec, k, n, code):
+    # odd is not cobweb-admissible from (4 2)_F = 35/3 on; levels 1..12
+    # hold 1 * 3 * ... * 23 > 100000 chains, which is refused first.
+    assert run(capsys, "tile", spec, str(k), str(n))[:2] == (code, "")
+
+
 def test_tile_budget_error_exit_3(capsys):
     code, _, err = run(capsys, "tile", "gauss:2", "0", "9")
     assert code == 3
@@ -449,7 +476,7 @@ def bell_by_triangle(n):
     "argv,key,value",
     [
         (("fnomial", "fib", "300", "150"), "value",
-         lambda: FNomialTable(parse_sequence("fib"), 300).fnomial(300, 150)),
+         lambda: fnomial_by_factorials(parse_sequence("fib").values(300), 300, 150)),
         (("bell-classic", "2000"), "bell", lambda: bell_by_triangle(2000)),
     ],
     ids=["fnomial", "bell-classic"],

@@ -4,13 +4,13 @@ from functools import lru_cache
 import pytest
 
 from cobweb import (
-    FNomialTable,
     NonIntegralError,
     bell_sequence,
     parse_sequence,
     whitney,
 )
 from cobweb.diagonal import whitney_rows
+from oracles import fnomial_by_factorials
 
 
 def test_whitney_vanishes_past_half():
@@ -24,16 +24,25 @@ def test_whitney_vanishes_past_half():
 
 def test_whitney_is_a_shifted_fnomial():
     fib = parse_sequence("fib")
-    table = FNomialTable(fib, 15)
+    values = fib.values(15)
     for n in range(16):
         for k in range(n // 2 + 1):
-            assert whitney(n, k, fib) == table.fnomial(n - k, k)
+            assert whitney(n, k, fib) == fnomial_by_factorials(values, n - k, k)
 
 
 def table_rows(seq, n_max):
-    """The triangle from F-factorial quotients, in n-then-k order."""
-    table = FNomialTable(seq, n_max)
-    return [[table.fnomial(n - k, k) for k in range(n // 2 + 1)] for n in range(n_max + 1)]
+    """The triangle from F-factorial quotients, in n-then-k order; the first
+    one that is not an integer raises NonIntegralError."""
+    values = seq.values(n_max)
+    rows = []
+    for n in range(n_max + 1):
+        rows.append([])
+        for k in range(n // 2 + 1):
+            q = fnomial_by_factorials(values, n - k, k)
+            if q.denominator != 1:
+                raise NonIntegralError(n - k, k, q)
+            rows[-1].append(q.numerator)
+    return rows
 
 
 @pytest.mark.parametrize("spec", ["nat", "fib", "gauss:2", "gauss:3", "const:3"])

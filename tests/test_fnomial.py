@@ -1,8 +1,9 @@
 """F-factorials, falling factorials, and F-nomial coefficients.
 
 Oracles used here: math.comb for F = nat, the q-Pascal recurrence for
-Gaussian coefficients, and the Fibonacci-Pascal recurrence
-(n k) = F_{k+1} (n-1 k) + F_{n-k-1} (n-1 k-1) for fibonomials.
+Gaussian coefficients, the Fibonacci-Pascal recurrence
+(n k) = F_{k+1} (n-1 k) + F_{n-k-1} (n-1 k-1) for fibonomials, and the
+F-factorial ratio of tests/oracles.py for every sequence.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +11,8 @@ import math
 
 import pytest
 
-from cobweb import FNomialTable, NonIntegralError, parse_sequence
+from cobweb import FNomialTable, NonIntegralError, fnomial_coefficient, parse_sequence
+from oracles import fnomial_by_factorials
 
 
 def table(spec: str, max_n: int) -> FNomialTable:
@@ -152,6 +154,31 @@ def test_range_errors():
         t.falling(5, 6)
     with pytest.raises(ValueError):
         t.f_factorial(-2)
+
+
+@pytest.mark.parametrize("spec", ["nat", "fib", "gauss:2", "even1", "odd", "list:[2,3,4,5]"])
+def test_closed_form_is_the_factorial_ratio(spec):
+    """Every coefficient with 0 <= k <= n <= 40 (n <= 4 for the list) is the
+    oracle's integer, or NonIntegralError carrying the oracle's fraction."""
+    seq = parse_sequence(spec)
+    n_max = min(40, seq.length or 40)
+    values = seq.values(n_max)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            expected = fnomial_by_factorials(values, n, k)
+            if expected.denominator == 1:
+                assert fnomial_coefficient(seq, n, k) == expected, (n, k)
+                continue
+            with pytest.raises(NonIntegralError) as info:
+                fnomial_coefficient(seq, n, k)
+            assert (info.value.n, info.value.k, info.value.fraction) == (n, k, expected)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 5])
+def test_a_list_shorter_than_n_has_no_coefficient(k):
+    # j = min(k, n - k) factors would not reach past the list, but F_n is read.
+    with pytest.raises(ValueError, match="n <= 2"):
+        fnomial_coefficient(parse_sequence("list:[2,3]"), 5, k)
 
 
 def test_table_is_primed_and_stable():

@@ -7,14 +7,13 @@ from fractions import Fraction
 
 from cobweb import (
     AdmissibilityVerdict,
-    FNomialTable,
-    NonIntegralError,
     SequenceSpecError,
     gcd_morphism_failures,
     is_cobweb_admissible,
     is_gcd_morphic,
     parse_sequence,
 )
+from oracles import fnomial_by_factorials
 
 
 def test_builtin_values():
@@ -129,13 +128,12 @@ def test_empty_list_allowed_but_unusable_past_zero():
 
 def scan_by_factorials(seq, bound):
     """Oracle: divide F-factorials for every (n, k) in scan order."""
-    table = FNomialTable(seq, bound)
+    values = seq.values(bound)
     for n in range(bound + 1):
         for k in range(n + 1):
-            try:
-                table.fnomial(n, k)
-            except NonIntegralError as err:
-                return AdmissibilityVerdict(bound, n - 1, (n, k), err.fraction)
+            q = fnomial_by_factorials(values, n, k)
+            if q.denominator != 1:
+                return AdmissibilityVerdict(bound, n - 1, (n, k), q)
     return AdmissibilityVerdict(bound, bound, None, None)
 
 

@@ -177,6 +177,29 @@ def test_parallel_agrees_with_serial():
     assert serial.witness[0] == 2
 
 
+def test_jobs_pool_is_capped_at_the_cpus(monkeypatch):
+    """A pool gets no more workers than CPUs, whatever --jobs asks for."""
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(tiling, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(tiling, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(tiling, "_worker_cover", None)
+    inst = build_instance(parse_sequence("nat"), 1, 4)  # 13 root branches
+    assert count_partitions(inst, jobs=50) == count_partitions(inst)
+    assert workers == [2]
+
+
 def test_pinned_search_trees():
     """The search visits the same nodes in the same order as it always has.
 
@@ -410,6 +433,17 @@ def test_universe_budget_exact_prediction():
     assert info.value.predicted > info.value.budget
 
 
+def test_universe_budget_comes_before_the_admissibility_scan(monkeypatch):
+    # The scan is quadratic in n: about 49 s for fib at n = 1000.
+    def no_scan(seq, bound):
+        raise AssertionError("the admissibility scan ran before the universe budget")
+
+    monkeypatch.setattr(tiling, "is_cobweb_admissible", no_scan)
+    with pytest.raises(TilingBudgetError) as info:
+        build_instance(parse_sequence("fib"), 600, 601)
+    assert info.value.kind == "universe"
+
+
 def test_block_budget():
     fib = parse_sequence("fib")
     with pytest.raises(TilingBudgetError) as info:
@@ -540,6 +574,16 @@ def test_instance_fields_must_agree_with_the_blocks(edit, match):
     edit(doc)
     with pytest.raises(ValueError, match=match):
         instance_from_json(doc)
+
+
+def test_a_chain_in_no_block_has_no_partition():
+    # One block of 4 of the 6 chains of (nat, 1, 3); chain 2 lies in no block.
+    doc = instance_to_json(build_instance(parse_sequence("nat"), 1, 3))
+    doc["block_size"] = 4
+    doc["blocks"] = [{"root": 1, "sizes": [2, 2], "subsets": [[1, 2], [1, 2]], "chains": [0, 1, 3, 4]}]
+    inst = instance_from_json(doc)
+    assert count_partitions(inst) == TilingCountResult("exact", 0, 1, None)
+    assert exists_partition(inst) == TilingSearchResult("no", None, 1)
 
 
 @pytest.mark.parametrize("subset, chains", [([2, 1], [1, 0]), ([1, 1], [0, 0])])
