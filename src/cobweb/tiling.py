@@ -10,11 +10,19 @@ subset per level k+1..n whose sizes are a permutation of
 m_F! chains, and a partition of the universe into blocks is an exact
 cover.
 
-The search is an iterative Algorithm X.  It keeps a live-block count
-per chain and an alive flag per block, updates them when it selects a
-block and restores them from a trail when it backtracks.  Each node
-branches on the uncovered chain with the fewest live blocks, the lowest
-chain index winning ties, and tries its blocks in ascending index.  The
+The search is an iterative Algorithm X.  Blocks of different roots
+(vertices of level k) never share a chain, so its sets of blocks are
+per root: int bitsets over the root's blocks in ascending index, one
+per chain for the blocks through it and one per root for the live
+blocks.  It also keeps the number of live blocks through each chain.
+Selecting a block kills the live blocks of its root that meet it, the
+root's live set ANDed with the OR of the block's chain bitsets.  If the
+killed blocks hold many chains for the root's size, the root's live
+counts are recounted by popcounts; otherwise the counts of the killed
+blocks' chains are decremented (the rule is in _ExactCover).  A trail
+undoes either when the search backtracks.  Each node branches on the
+uncovered chain with the fewest live blocks, the lowest chain index
+winning ties, and tries its blocks in ascending index.  The
 search runs on an explicit stack, so its depth (blocks per partition)
 is bounded by memory, not by the interpreter's recursion limit.  One
 search answers every query: it counts covers up to an optional cap and
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +54,9 @@ from typing import TYPE_CHECKING
 
 from .sequences import is_cobweb_admissible
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
+if TYPE_CHECKING:  # pragma: no cover - type-only; .sequences at run time is a cycle
+    from collections.abc import Iterable
+
     from .sequences import AdmissibleSequence
 
 DEFAULT_UNIVERSE_BUDGET = 100_000
@@ -53,10 +64,6 @@ DEFAULT_BLOCK_BUDGET = 1_000_000
 DEFAULT_NODE_BUDGET = 1_000_000
 
 SIGMA_POLICIES = ("identity", "all")
-
-# At most this many block indices (about 8 bytes each) are kept in the
-# search's conflict lists, whatever the instance.
-_CONFLICT_CACHE_ENTRIES = 1 << 22
 
 # At most this many bytes, counted per entry as a universe-wide key plus
 # _MEMO_ENTRY_BYTES of dict slot, key header and value, go to the
@@ -243,46 +250,61 @@ def _members(sizes: tuple[int, ...], root: int, subsets) -> tuple[int, ...]:
 class _ExactCover:
     """The search tables of one instance, built once and shared by every branch.
 
-    A live block is one disjoint from the partial cover.  Selecting a
-    block kills every live block that meets it, itself included, and
-    decrements the live counts of their chains; backtracking revives
-    the killed blocks from the trail.  A covered chain's count is offset
-    by ``covered``, more than any live count, so one ``min`` finds both
-    the pivot and a complete cover.
+    A live block is one disjoint from the partial cover.  Blocks of
+    different roots never share a chain, and the chains of root r are
+    the run ``r * span .. (r + 1) * span - 1`` of the universe.  So each
+    root lists its blocks in ascending index, a block's local rank being
+    its place there, which keeps local and global order alike, and each
+    chain has an int bitset over the local ranks of its root's blocks.
+    ``alive`` holds one such bitset per root, and ``live`` the number of
+    live blocks through each chain.
+
+    Selecting block b of root r kills ``alive[r] & conflict``, where the
+    conflict is the OR of the bitsets of b's chains, b included.  If the
+    killed blocks number more than ``most_killed``, the root's slice of
+    ``live`` is recounted, one popcount per chain, and the old slice
+    goes on the trail; otherwise the chains of the killed blocks are
+    decremented, and incremented again on backtracking.  A covered
+    chain's count is offset by ``covered``, a power of two above every
+    live count, so one ``min`` finds both the pivot and a complete
+    cover, and a recount keeps the offsets as ``covered & count``.
 
     Finished subtrees go to a memo shared by every branch, keyed by
     their covered-chain bitmask (see the module docstring).
     """
 
     def __init__(self, instance: TilingInstance):
-        self.block_chains = [block.chains for block in instance.blocks]
-        per_chain: list[list[int]] = [[] for _ in instance.chains]
-        for b, chains in enumerate(self.block_chains):
-            for c in chains:
-                per_chain[c].append(b)
-        self.chain_blocks = [tuple(bs) for bs in per_chain]
-        # Conflict lists of selected blocks, kept while they fit in
-        # _CONFLICT_CACHE_ENTRIES; past that they are rebuilt per select.
-        self.conflicts: list[tuple[int, ...] | None] = [None] * len(self.block_chains)
-        self.cache_room = _CONFLICT_CACHE_ENTRIES
+        self.block_chains = block_chains = [block.chains for block in instance.blocks]
+        self.span = span = len(instance.chains) // instance.level_sizes[0]  # chains per root
+        self.root_blocks: list[list[int]] = [[] for _ in range(instance.level_sizes[0])]
+        for b, chains in enumerate(block_chains):
+            self.root_blocks[chains[0] // span].append(b)
+        # A select that kills more blocks than this recounts its root's live
+        # counts.  A recount takes an AND and a popcount per chain over the
+        # root's blocks, about one decrement's time per 512 blocks (CPython
+        # 3.11 on x86-64), so it pays once the killed blocks hold more chains
+        # than the root has, times 1 + blocks // 512.
+        width = max(map(len, self.root_blocks))
+        self.most_killed = span * (1 + width // 512) // instance.block_size
+        # Each chain's bitset as little-endian bytes, bit j for local rank j.
+        rows = [bytearray((len(bs) + 7) // 8) for bs in self.root_blocks for _ in range(span)]
+        for bs in self.root_blocks:
+            # Local rank j is mask m = 1 << (j % 8) of byte q = j // 8.
+            places = itertools.product(range((len(bs) + 7) // 8), (1, 2, 4, 8, 16, 32, 64, 128))
+            for (q, m), b in zip(places, bs):
+                for c in block_chains[b]:
+                    rows[c][q] |= m
+        self.bits = [int.from_bytes(row, "little") for row in rows]
+        self.counts = list(map(int.bit_count, self.bits))
         # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
         self.memo: dict[int, tuple[int, int]] = {}
         self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(instance.chains) // 8)
 
     def root_branches(self) -> tuple[int, ...]:
         """The blocks through the root pivot: the first chain of fewest blocks."""
-        counts = [len(bs) for bs in self.chain_blocks]
-        return self.chain_blocks[counts.index(min(counts))]
-
-    def conflicts_of(self, b: int) -> tuple[int, ...]:
-        """Every block that shares a chain with block b, b included."""
-        con = self.conflicts[b]
-        if con is None:
-            con = tuple(set().union(*[self.chain_blocks[c] for c in self.block_chains[b]]))
-            if len(con) <= self.cache_room:
-                self.cache_room -= len(con)
-                self.conflicts[b] = con
-        return con
+        p = self.counts.index(min(self.counts))
+        blocks = self.root_blocks[p // self.span]
+        return tuple(map(blocks.__getitem__, _ranks(self.bits[p], self.counts[p])))
 
     def search(
         self, first: int, budget: int, cap: int | None
@@ -302,17 +324,20 @@ class _ExactCover:
         the result is then the one the walk would give.
         """
         block_chains = self.block_chains
-        chain_blocks = self.chain_blocks
-        conflicts = self.conflicts
+        root_blocks = self.root_blocks
+        bits = self.bits
+        span = self.span
+        most_killed = self.most_killed
         memo = self.memo
         memo_limit = self.memo_limit
-        covered = len(block_chains) + 1
-        live = [len(bs) for bs in chain_blocks]
-        alive = bytearray(b"\x01") * len(block_chains)
-        # Per selection: the blocks it killed and the node count, cover
-        # count and covered-chain mask ``cov`` before it.  ``after`` is
-        # the mask once the next selection is made.
-        trail: list[tuple[list[int], int, int, int]] = []
+        covered = 1 << len(block_chains).bit_length()
+        live = list(self.counts)
+        alive = [(1 << len(bs)) - 1 for bs in root_blocks]
+        # Per selection: its root, the blocks it killed as a local bitset,
+        # the root's live slice before it if it was recounted, and the node
+        # count, cover count and covered-chain mask ``cov`` before it.
+        # ``after`` is the mask once the next selection is made.
+        trail: list[tuple[int, int, list[int] | None, int, int, int]] = []
         chosen: list[int] = []
         frames = []  # per selection: an iterator over its node's untried options
         count = nodes = cov = 0
@@ -320,15 +345,33 @@ class _ExactCover:
         b = first
         after = sum(1 << c for c in block_chains[b])
         while True:
-            # Select b: kill every live block that meets it, b included.
-            killed = [x for x in conflicts[b] or self.conflicts_of(b) if alive[x]]
-            for x in killed:
-                alive[x] = 0
-                for c in block_chains[x]:
-                    live[c] -= 1
-            for c in block_chains[b]:
+            # Select b: kill every live block of its root that meets it, b included.
+            chains = block_chains[b]
+            r = chains[0] // span
+            conflict = 0
+            for c in chains:
+                conflict |= bits[c]
+            kill = alive[r] & conflict
+            alive[r] ^= kill
+            killed = kill.bit_count()
+            if killed > most_killed:
+                # Recount the root's chains; the covered ones keep their offset.
+                lo = r * span
+                saved = live[lo:lo + span]
+                live[lo:lo + span] = map(
+                    operator.add,
+                    map(int.bit_count, map(alive[r].__and__, bits[lo:lo + span])),
+                    map(covered.__and__, saved),
+                )
+            else:
+                saved = None
+                blocks = root_blocks[r]
+                for j in _ranks(kill, killed):
+                    for c in block_chains[blocks[j]]:
+                        live[c] -= 1
+            for c in chains:
                 live[c] += covered
-            trail.append((killed, nodes, count, cov))
+            trail.append((r, kill, saved, nodes, count, cov))
             cov = after
             chosen.append(b)
 
@@ -337,7 +380,10 @@ class _ExactCover:
                 return count, witness, True, nodes
             low = min(live)
             if 0 < low < covered:
-                frames.append(iter([x for x in chain_blocks[live.index(low)] if alive[x]]))
+                p = live.index(low)
+                r = p // span
+                options = _ranks(bits[p] & alive[r], low)
+                frames.append(map(root_blocks[r].__getitem__, options))
             else:
                 if low:  # every chain is covered
                     count += 1
@@ -354,14 +400,18 @@ class _ExactCover:
                     frames.pop()
                     if not frames:  # the root branch is done; its selection stays
                         return count, witness, False, nodes
-                    killed, nodes0, count0, cov0 = trail.pop()
-                    for x in killed:
-                        alive[x] = 1
-                        for c in block_chains[x]:
-                            live[c] += 1
-                    b = chosen.pop()
-                    for c in block_chains[b]:
-                        live[c] -= covered
+                    r, kill, saved, nodes0, count0, cov0 = trail.pop()
+                    alive[r] |= kill
+                    if saved is None:
+                        blocks = root_blocks[r]
+                        for j in _ranks(kill, kill.bit_count()):
+                            for c in block_chains[blocks[j]]:
+                                live[c] += 1
+                        for c in block_chains[chosen.pop()]:
+                            live[c] -= covered
+                    else:
+                        chosen.pop()
+                        live[r * span:(r + 1) * span] = saved
                     if len(memo) < memo_limit:
                         memo[cov] = (nodes - nodes0, count - count0)
                     cov = cov0
@@ -378,6 +428,24 @@ class _ExactCover:
                 nodes += sub[0]
                 count += sub[1]
         return count, witness, False, nodes
+
+
+def _ranks(x: int, count: int) -> Iterable[int]:
+    """The positions of the ``count`` set bits of x, ascending.
+
+    Splitting the bits off one at a time costs the size of x per bit.
+    Reading them off bin(x), each the number of bits below it, costs the
+    size of x once, and is the cheaper from about twenty bits on.
+    """
+    if count < 20:
+        ranks = []
+        while x:
+            low = x & -x
+            ranks.append(low.bit_length() - 1)
+            x ^= low
+        return ranks
+    runs = bin(x).split("1")[::-1]  # the last run holds the "0b" prefix
+    return map(operator.add, itertools.accumulate(map(len, runs)), range(len(runs) - 1))
 
 
 # A pool worker's copy of the search tables, installed once by _init_worker.

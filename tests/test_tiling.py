@@ -215,6 +215,11 @@ def test_pinned_search_trees():
     assert budgeted == TilingCountResult("inconclusive", 2915, 20021, witness)
     search = exists_partition(build_instance(parse_sequence("gauss:2"), 2, 4))
     assert (search.status, search.nodes) == ("yes", 106)
+    # Two trees whose selects kill most of the blocks of their root.
+    search = exists_partition(build_instance(parse_sequence("fib"), 1, 6, sigma_policy="identity"))
+    assert (search.status, search.nodes) == ("no", 421)
+    budgeted = count_partitions(build_instance(nat, 1, 6), node_budget=3000)
+    assert budgeted == TilingCountResult("inconclusive", 0, 3247, None)
 
 
 @pytest.mark.parametrize("memo_bytes", [0, 5000])
@@ -240,6 +245,22 @@ def test_shared_memo_keeps_each_branch_result(spec, k, n):
     for cap in (None, 3):
         for b in shared.root_branches():
             assert shared.search(b, 10**6, cap) == tiling._ExactCover(inst).search(b, 10**6, cap)
+
+
+def test_search_tables_are_per_root():
+    """Each chain's bitset spans the blocks of its own root only.
+
+    (nat, 200, 201) has 200 roots of 201 singleton blocks; one bitset
+    over all 40200 blocks per chain would take about 110 MB.
+    """
+    inst = build_instance(parse_sequence("nat"), 200, 201)
+    tracemalloc.start()
+    try:
+        tiling._ExactCover(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def brute_force_count(inst) -> int:
@@ -380,6 +401,12 @@ def test_memo_replays_the_reference_search(spec, k, n, sigma, node_budget, cap):
         inst = build_instance(parse_sequence(spec), k, n, sigma, universe_budget=24)
     except (TilingBudgetError, ValueError):
         assume(False)
+    assert_reference_results(inst, cap, node_budget)
+
+
+def assert_reference_results(inst, cap, node_budget):
+    """count_partitions and exists_partition, serial and on two workers,
+    give reference_search's status, count, nodes and witness."""
     count, witness, exhausted, nodes = reference_search(inst, cap, node_budget)
     if cap is not None and count >= cap:
         expected = TilingCountResult("capped", cap, nodes, witness)
@@ -392,6 +419,37 @@ def test_memo_replays_the_reference_search(spec, k, n, sigma, node_budget, cap):
     for jobs in (1, 2):
         assert count_partitions(inst, cap, jobs, node_budget) == expected
         assert exists_partition(inst, jobs, node_budget) == expected_search
+
+
+def _reversed_blocks(blocks):
+    blocks.reverse()
+
+
+def _drop_a_few_per_root(blocks):
+    kept = []
+    for root, group in itertools.groupby(blocks, key=lambda entry: entry["root"]):
+        kept += [entry for i, entry in enumerate(group) if i >= root and i not in (7, 50)]
+    blocks[:] = kept
+
+
+@pytest.mark.parametrize(
+    "spec, k, n, edit, cap, node_budget",
+    [
+        ("nat", 2, 4, _reversed_blocks, None, 10**6),
+        ("nat", 2, 4, _reversed_blocks, 3, 300),
+        ("gauss:2", 2, 4, _drop_a_few_per_root, 3, 10**6),
+    ],
+)
+def test_blocks_out_of_root_order_keep_the_reference_tree(spec, k, n, edit, cap, node_budget):
+    """A root's blocks need not be a contiguous run of the block list.
+
+    Reversed, each root's blocks run in the other order; with r + 2
+    blocks of root r dropped, the roots hold different numbers of
+    blocks.
+    """
+    doc = instance_to_json(build_instance(parse_sequence(spec), k, n))
+    edit(doc["blocks"])
+    assert_reference_results(instance_from_json(doc), cap, node_budget)
 
 
 def test_count_cap():
