@@ -30,6 +30,23 @@ keeps the first one as the witness, and existence is a count capped at
 one.  Budgets turn oversized work into an explicit "inconclusive"
 outcome instead of an open-ended run.
 
+An instance made by build_instance is marked symmetric: its blocks are
+every product block of its sigma policy, a set closed under the
+permutations of each level.  The search then factors out the roots.
+Blocks of different roots never share a chain, and root r + 1's blocks
+are root 1's with every chain offset by r times the chains per root, so
+it searches root 1 alone.  The count is c ** F_k for root 1's count c,
+a lower bound L of c bounds it by L ** F_k, and the witness is root 1's
+cover repeated by offset over every root.  Within root 1 every chain
+lies in equally many blocks, so the root pivot is chain 0, and the
+permutations that fix chain 0 map a block through it onto each of the
+prod C(a_i - 1, t_i - 1) blocks through it with the same size tuple t,
+a_i being the size of level k + i.  Only the lowest block of each t is
+searched, its count weighted by that number, and on the node budget
+share of one plain root branch.  Copies made by dataclasses.replace or
+instance_from_json are not marked: their blocks may be any set, and the
+plain search walks every root and every root branch.
+
 The subtree below a node depends only on the set of covered chains:
 the live blocks are those disjoint from it and the pivot rule is
 fixed.  Each finished subtree is therefore memoised under that set, an
@@ -38,9 +55,9 @@ option that reaches a memoised set adds those counts instead of
 walking the subtree again, whenever the walk would stay inside the
 node budget, stay below the cap and leave the witness as it is.  The
 walk would then add exactly those counts, so every result, node count
-included, is the one of the plain search.  The memo takes entries only
-while they fit a fixed byte bound (_MEMO_BYTES); past it the search
-stays exact and stops memoising.
+included, is the one of the search without the memo.  The memo takes
+entries only while they fit a fixed byte bound (_MEMO_BYTES); past it
+the search stays exact and stops memoising.
 """
 from __future__ import annotations
 
@@ -49,7 +66,7 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .sequences import is_cobweb_admissible
@@ -102,6 +119,9 @@ class TilingInstance:
     block_size: int  # m_F!: chains per block
     chains: tuple[tuple[int, ...], ...]  # per-level j indices, levels k..n
     blocks: tuple[Block, ...]
+    # Set by build_instance alone, never inferred from the blocks, so that
+    # copies (dataclasses.replace, instance_from_json) take the plain search.
+    symmetric: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def universe_size(self) -> int:
@@ -149,7 +169,9 @@ def build_instance(
     Each distinct size tuple is listed once and a product block's chains
     determine its subsets, so no two blocks are equal.  Blocks are
     sorted by their chain tuples, which fixes the search order once and
-    for all.
+    for all.  Only root 1's chain tuples are computed; the other roots'
+    are offsets of them.  The instance is marked symmetric (see the
+    module docstring).
     """
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
@@ -189,21 +211,29 @@ def build_instance(
         raise TilingBudgetError("candidate blocks", predicted_blocks, block_budget)
 
     chains = tuple(itertools.product(*(range(1, s + 1) for s in sizes)))
+    span = len(chains) // sizes[0]  # chains per root
 
     block_size = math.prod(base)
-    blocks = []
+    first = []  # root 1's blocks
     for st in size_tuples:
         if any(t > size for t, size in zip(st, sizes[1:])):
             continue  # a requested size exceeds its level, no such block
         subset_pools = [
             tuple(itertools.combinations(range(1, size + 1), t)) for t, size in zip(st, sizes[1:])
         ]
-        for root in range(1, sizes[0] + 1):
-            for subsets in itertools.product(*subset_pools):
-                blocks.append(Block(root, st, subsets, _members(sizes, root, subsets)))
-    blocks.sort(key=lambda block: block.chains)
+        for subsets in itertools.product(*subset_pools):
+            first.append(Block(1, st, subsets, _members(sizes, 1, subsets)))
+    first.sort(key=lambda block: block.chains)
+    # Chains are root-major, so root r + 1 has root 1's blocks with every
+    # chain offset by r * span, and the blocks sorted by their chain
+    # tuples are root 1's repeated root by root.
+    blocks = first + [
+        Block(r + 1, b.sizes, b.level_subsets, tuple(map((r * span).__add__, b.chains)))
+        for r in range(1, sizes[0])
+        for b in first
+    ]
 
-    return TilingInstance(
+    instance = TilingInstance(
         sequence_spec=seq.name,
         k=k,
         n=n,
@@ -213,6 +243,8 @@ def build_instance(
         chains=chains,
         blocks=tuple(blocks),
     )
+    object.__setattr__(instance, "symmetric", True)
+    return instance
 
 
 def _distinct_permutations(items):
@@ -270,13 +302,19 @@ class _ExactCover:
     cover, and a recount keeps the offsets as ``covered & count``.
 
     Finished subtrees go to a memo shared by every branch, keyed by
-    their covered-chain bitmask (see the module docstring).
+    their covered-chain bitmask (see the module docstring).  The tables
+    of a symmetric instance hold root 1's chains and blocks alone.
     """
 
     def __init__(self, instance: TilingInstance):
-        self.block_chains = block_chains = [block.chains for block in instance.blocks]
-        self.span = span = len(instance.chains) // instance.level_sizes[0]  # chains per root
-        self.root_blocks: list[list[int]] = [[] for _ in range(instance.level_sizes[0])]
+        roots = instance.level_sizes[0]
+        self.span = span = len(instance.chains) // roots  # chains per root
+        blocks = instance.blocks
+        if instance.symmetric:  # the other roots repeat root 1 (see the module docstring)
+            blocks = blocks[:len(blocks) // roots]
+            roots = 1
+        self.block_chains = block_chains = [block.chains for block in blocks]
+        self.root_blocks: list[list[int]] = [[] for _ in range(roots)]
         for b, chains in enumerate(block_chains):
             self.root_blocks[chains[0] // span].append(b)
         # A select that kills more blocks than this recounts its root's live
@@ -298,7 +336,7 @@ class _ExactCover:
         self.counts = list(map(int.bit_count, self.bits))
         # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
         self.memo: dict[int, tuple[int, int]] = {}
-        self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(instance.chains) // 8)
+        self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(self.counts) // 8)
 
     def root_branches(self) -> tuple[int, ...]:
         """The blocks through the root pivot: the first chain of fewest blocks."""
@@ -477,15 +515,21 @@ def _solve(
 ) -> tuple[int, tuple[int, ...] | None, bool, int]:
     """Shared driver: returns (count, witness, any_exhausted, nodes).
 
-    The search always branches once at the root pivot and solves each
-    branch with an equal share of the node budget, taking the branches
-    in order and stopping once the count reaches the cap.  A budget
-    smaller than the number of root branches gives no branch a node, so
-    the search stops at the root, exhausted.  The witness is the first
-    cover of the first branch that has one.  Parallel runs consume the
-    same outcomes in the same order, so serial and parallel runs agree
-    on every field.  Fork starts every pool worker at once, so there are
-    no more than the root branches or the CPUs.
+    The search always branches once at the root pivot and gives each
+    branch an equal share of the node budget.  A budget smaller than the
+    number of root branches gives no branch a node, so the search stops
+    at the root, exhausted.  A symmetric instance searches one root and
+    one branch per orbit, each weighted by its orbit's size, and raises
+    the weighted sum to the power F_k (see the module docstring); any
+    other is the case of weights 1 and power 1.
+
+    Branches run in order and stop once the weighted count reaches the
+    target, the least root count whose power reaches the cap; each
+    branch is capped at the target over its weight.  The witness is the
+    first cover of the first branch that has one.  Parallel runs consume
+    the same outcomes in the same order, so serial and parallel runs
+    agree on every field.  Fork starts every pool worker at once, so
+    there are no more than the branches searched or the CPUs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -502,7 +546,14 @@ def _solve(
     per_branch = node_budget // len(branches)
     if not per_branch:
         return 0, None, True, 1
-    searches = (branches, itertools.repeat(per_branch), itertools.repeat(cap))
+    if instance.symmetric:
+        branches, weights = _orbits(instance, branches)
+        copies = instance.level_sizes[0]
+    else:
+        weights, copies = (1,) * len(branches), 1
+    target = None if cap is None else _least_root(cap, copies)
+    caps = [None if target is None else -(-target // w) for w in weights]
+    searches = (branches, itertools.repeat(per_branch), caps)
     count, witness, exhausted, nodes = 0, None, False, 1
     pool = None
     try:
@@ -513,17 +564,49 @@ def _solve(
                 min(jobs, len(branches), _cpu_count()), initializer=_init_worker, initargs=(cover,)
             )
             results = pool.map(_worker_search, *searches)
-        for b_count, b_witness, b_exhausted, b_nodes in results:
-            count += b_count
+        for weight, (b_count, b_witness, b_exhausted, b_nodes) in zip(weights, results):
+            count += weight * b_count
             exhausted = exhausted or b_exhausted
             nodes += b_nodes
             witness = witness or b_witness
-            if cap is not None and count >= cap:
+            if target is not None and count >= target:
                 break
     finally:
         if pool is not None:  # branches no worker has started are dropped
             pool.shutdown(cancel_futures=True)
-    return count, witness, exhausted, nodes
+    if witness is not None:
+        width = len(cover.block_chains)  # blocks per root
+        witness = tuple(r * width + b for r in range(copies) for b in witness)
+    return count**copies, witness, exhausted, nodes
+
+
+def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lowest block of each size tuple among ``branches``, the blocks
+    through chain 0, and how many blocks through chain 0 have that tuple.
+
+    Chain 0 takes vertex 1 of every level, and a block through it with
+    size tuple t takes vertex 1 and t_i - 1 of the other a_i - 1 vertices
+    of level k + i.  So there are prod C(a_i - 1, t_i - 1) of them, and
+    the permutations of each level that fix vertex 1 map any one onto
+    any other, the blocks and the covers below them included.
+    """
+    lowest: dict[tuple[int, ...], int] = {}
+    for b in branches:
+        lowest.setdefault(instance.blocks[b].sizes, b)
+    levels = instance.level_sizes[1:]
+    weights = (math.prod(math.comb(a - 1, t - 1) for a, t in zip(levels, st)) for st in lowest)
+    return tuple(lowest.values()), tuple(weights)
+
+
+def _least_root(x: int, e: int) -> int:
+    """The least c >= 0 with c ** e >= x, for x >= 1: Newton's integer root."""
+    c = 1 << -(-x.bit_length() // e)  # c ** e > x
+    while True:
+        d = ((e - 1) * c + x // c ** (e - 1)) // e
+        if d >= c:
+            break
+        c = d
+    return c if c**e >= x else c + 1
 
 
 def exists_partition(

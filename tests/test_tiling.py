@@ -41,6 +41,12 @@ def load_fixture(name: str) -> dict:
         return json.load(fh)
 
 
+def plain(inst):
+    """An equal copy that is not marked symmetric: the search takes it as
+    any set of blocks, every root and every root branch walked."""
+    return dataclasses.replace(inst)
+
+
 def test_universe_and_block_shape():
     inst = build_instance(parse_sequence("nat"), 1, 3)
     assert inst.level_sizes == (1, 2, 3)
@@ -201,24 +207,25 @@ def test_jobs_pool_is_capped_at_the_cpus(monkeypatch):
 
 
 def test_pinned_search_trees():
-    """The search visits the same nodes in the same order as it always has.
+    """The plain search visits the same nodes in the same order as it always has.
 
     A count's witness is its first partition, the one existence finds.
     """
     nat = parse_sequence("nat")
-    inst = build_instance(nat, 2, 4)
+    inst = plain(build_instance(nat, 2, 4))
     witness = exists_partition(inst).witness
     assert count_partitions(inst) == TilingCountResult("exact", 17424, 55728, witness)
-    inst = build_instance(nat, 2, 5)
+    inst = plain(build_instance(nat, 2, 5))
     witness = exists_partition(inst, node_budget=20000).witness
     budgeted = count_partitions(inst, node_budget=20000)
     assert budgeted == TilingCountResult("inconclusive", 2915, 20021, witness)
-    search = exists_partition(build_instance(parse_sequence("gauss:2"), 2, 4))
+    search = exists_partition(plain(build_instance(parse_sequence("gauss:2"), 2, 4)))
     assert (search.status, search.nodes) == ("yes", 106)
     # Two trees whose selects kill most of the blocks of their root.
-    search = exists_partition(build_instance(parse_sequence("fib"), 1, 6, sigma_policy="identity"))
+    inst = plain(build_instance(parse_sequence("fib"), 1, 6, sigma_policy="identity"))
+    search = exists_partition(inst)
     assert (search.status, search.nodes) == ("no", 421)
-    budgeted = count_partitions(build_instance(nat, 1, 6), node_budget=3000)
+    budgeted = count_partitions(plain(build_instance(nat, 1, 6)), node_budget=3000)
     assert budgeted == TilingCountResult("inconclusive", 0, 3247, None)
 
 
@@ -226,7 +233,7 @@ def test_pinned_search_trees():
 def test_memo_bound_keeps_the_tree(monkeypatch, memo_bytes):
     """Past its bound the memo takes no entries, and the search stays exact."""
     monkeypatch.setattr(tiling, "_MEMO_BYTES", memo_bytes)
-    inst = build_instance(parse_sequence("nat"), 2, 4)
+    inst = plain(build_instance(parse_sequence("nat"), 2, 4))
     witness = exists_partition(inst).witness
     assert count_partitions(inst) == TilingCountResult("exact", 17424, 55728, witness)
     cover = tiling._ExactCover(inst)
@@ -251,16 +258,157 @@ def test_search_tables_are_per_root():
     """Each chain's bitset spans the blocks of its own root only.
 
     (nat, 200, 201) has 200 roots of 201 singleton blocks; one bitset
-    over all 40200 blocks per chain would take about 110 MB.
+    over all 40200 blocks per chain would take about 110 MB.  The built
+    instance's tables hold root 1 alone.
     """
     inst = build_instance(parse_sequence("nat"), 200, 201)
     tracemalloc.start()
     try:
-        tiling._ExactCover(inst)
+        tiling._ExactCover(plain(inst))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
+    cover = tiling._ExactCover(inst)
+    assert (len(cover.root_blocks), len(cover.block_chains), len(cover.counts)) == (1, 201, 201)
+
+
+# --- the roots factor and the orbits at the root ------------------------------
+
+def built_grid(max_blocks):
+    """Instances of SPECS, k < n <= 5, both sigma policies, of at most max_blocks blocks."""
+    for spec in SPECS:
+        seq = parse_sequence(spec)
+        for n in range(1, 6):
+            for k in range(n):
+                for sigma in tiling.SIGMA_POLICIES:
+                    try:
+                        yield build_instance(seq, k, n, sigma, block_budget=max_blocks)
+                    except (TilingBudgetError, ValueError):
+                        pass
+
+
+def test_only_built_instances_are_symmetric():
+    """Copies are equal to the built instance but not marked, so they take
+    the plain search, which is right for blocks that are not the full set."""
+    inst = build_instance(parse_sequence("nat"), 1, 4)
+    assert inst.symmetric
+    for copy in (dataclasses.replace(inst), instance_from_json(instance_to_json(inst))):
+        assert not copy.symmetric
+        assert copy == inst
+    dropped = dataclasses.replace(
+        inst, blocks=tuple(b for i, b in enumerate(inst.blocks) if i not in (0, 21))
+    )
+    assert not dropped.symmetric
+    for cap, node_budget in ((None, 10**6), (1, 10**6), (3, 50)):
+        assert_reference_results(dropped, cap, node_budget)
+
+
+def test_reduced_search_agrees_with_the_plain_one():
+    """Wherever the plain search completes within 20000 nodes, so does the
+    reduced one, in no more nodes, with the same count and verdict.  With
+    one root it finds the same first partition; every witness it gives,
+    complete or not, is a partition."""
+    compared = 0
+    for inst in built_grid(3000):
+        for cap in (None, 1):
+            result = count_partitions(inst, cap, node_budget=20000)
+            if result.witness is not None:
+                assert verify_partition(inst, result.witness)
+            expected = count_partitions(plain(inst), cap, node_budget=20000)
+            if expected.status == "inconclusive":
+                continue
+            compared += 1
+            assert (result.status, result.count) == (expected.status, expected.count)
+            assert result.nodes <= expected.nodes
+            if inst.level_sizes[0] == 1:
+                assert result.witness == expected.witness
+    assert compared == 451
+
+
+def test_orbit_sizes_at_the_root():
+    """The blocks through chain 0 with size tuple t number
+    prod C(a_i - 1, t_i - 1); the lowest of each is its representative,
+    and the orbit sizes add up to the plain search's root branches."""
+    for inst in built_grid(3000):
+        branches = tiling._ExactCover(plain(inst)).root_branches()
+        assert all(inst.blocks[b].chains[0] == 0 for b in branches)  # the pivot is chain 0
+        orbits = {}
+        for b in branches:
+            orbits.setdefault(inst.blocks[b].sizes, []).append(b)
+        for t, blocks in orbits.items():
+            assert len(blocks) == math.prod(
+                math.comb(a - 1, t_i - 1) for a, t_i in zip(inst.level_sizes[1:], t)
+            )
+        representatives, weights = tiling._orbits(inst, branches)
+        assert representatives == tuple(min(blocks) for blocks in orbits.values())
+        assert weights == tuple(map(len, orbits.values()))
+        assert sum(weights) == len(branches)
+
+
+@pytest.mark.parametrize(
+    "spec, k, n, count, nodes",
+    [
+        ("nat", 2, 4, 132**2, 168),
+        ("nat", 1, 5, 386, 490),
+        ("gauss:2", 1, 3, 7036, 3217),
+        ("nat", 3, 5, 44928**3, 39953),
+        ("list:[1,2,2,4,4]", 3, 5, 2016**2, 2151),
+    ],
+)
+def test_pinned_reduced_counts(spec, k, n, count, nodes):
+    """The reduced trees, and exact counts the plain search cannot finish
+    (nat 3 5 and list:[1,2,2,4,4] 3 5 within a million nodes)."""
+    inst = build_instance(parse_sequence(spec), k, n)
+    result = count_partitions(inst)
+    assert (result.status, result.count, result.nodes) == ("exact", count, nodes)
+    # The witness is root 1's cover repeated by offset over every root.
+    roots = inst.level_sizes[0]
+    per_root, width = len(result.witness) // roots, len(inst.blocks) // roots
+    for r in range(roots):
+        assert result.witness[r * per_root:(r + 1) * per_root] == tuple(
+            b + r * width for b in result.witness[:per_root]
+        )
+    assert verify_partition(inst, result.witness)
+    assert exists_partition(inst).witness == result.witness
+
+
+def test_reduced_budget_and_cap():
+    """A root branch gets its plain twin's share of the node budget, and a
+    lower bound L of one root bounds the count by L ** F_k.  A cap stops
+    the search once the root count's F_k-th power reaches it."""
+    nat = parse_sequence("nat")
+    budgeted = count_partitions(build_instance(nat, 2, 5), node_budget=20000)
+    assert (budgeted.status, budgeted.count, budgeted.nodes) == ("inconclusive", 2750**2, 2185)
+    inst = build_instance(nat, 3, 5)  # 44928 ** 3 partitions
+    for cap, status, value in [
+        (44928**3, "capped", 44928**3),
+        (44928**3 + 1, "exact", 44928**3),
+        (44927**3 + 1, "capped", 44927**3 + 1),
+        (1000, "capped", 1000),
+        (10**400, "exact", 44928**3),
+    ]:
+        result = count_partitions(inst, cap=cap)
+        assert (result.status, result.count) == (status, value)
+    assert count_partitions(inst, cap=1000).nodes < count_partitions(inst, cap=10**6).nodes
+
+
+def test_least_root():
+    for e in range(1, 6):
+        for x in range(1, 300):
+            assert tiling._least_root(x, e) == min(c for c in range(x + 1) if c**e >= x)
+    assert tiling._least_root(10**400, 2) == 10**200
+    assert tiling._least_root(10**400 + 1, 2) == 10**200 + 1
+    assert tiling._least_root(10**400, 1) == 10**400
+    assert tiling._least_root(1, 200) == 1
+
+
+@pytest.mark.parametrize("spec, k, n", [("nat", 2, 4), ("nat", 1, 5), ("nat", 3, 5)])
+def test_reduced_parallel_agrees_with_serial(spec, k, n):
+    inst = build_instance(parse_sequence(spec), k, n)
+    for cap, node_budget in ((None, None), (1000, None), (None, 300), (3, 40)):
+        assert count_partitions(inst, cap, 2, node_budget) == count_partitions(inst, cap, 1, node_budget)
+    assert exists_partition(inst, jobs=2) == exists_partition(inst)
 
 
 def brute_force_count(inst) -> int:
@@ -401,7 +549,7 @@ def test_memo_replays_the_reference_search(spec, k, n, sigma, node_budget, cap):
         inst = build_instance(parse_sequence(spec), k, n, sigma, universe_budget=24)
     except (TilingBudgetError, ValueError):
         assume(False)
-    assert_reference_results(inst, cap, node_budget)
+    assert_reference_results(plain(inst), cap, node_budget)
 
 
 def assert_reference_results(inst, cap, node_budget):
