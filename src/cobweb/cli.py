@@ -12,6 +12,7 @@ the Dobinski line uses floating-point notation.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -227,7 +228,13 @@ def cmd_bell_classic(args: argparse.Namespace) -> tuple:
     return doc, itertools.chain([value], dobinski_line), 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Handlers are named, not bound: main looks each one up when it runs,
+    so a cmd_* rebound after the build is the one called.
+    """
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -240,17 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seq")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_fnomial)
+    p.set_defaults(func="cmd_fnomial")
 
     p = sub.add_parser("admissible", parents=[fmt], help="bounded integrality scan")
     p.add_argument("seq")
     p.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=cmd_admissible)
+    p.set_defaults(func="cmd_admissible")
 
     p = sub.add_parser("gcdmorphic", parents=[fmt], help="bounded GCD-morphism scan")
     p.add_argument("seq")
     p.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=cmd_gcdmorphic)
+    p.set_defaults(func="cmd_gcdmorphic")
 
     for which, summary in (
         ("zeta", "zeta matrix, level-major order"),
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("seq")
         p.add_argument("--levels", type=int, required=True)
         p.add_argument("--size", type=int, default=None, help="leading block to print")
-        p.set_defaults(func=cmd_matrix, which=which)
+        p.set_defaults(func="cmd_matrix", which=which)
 
     p = sub.add_parser("chains", parents=[fmt], help="saturated chains over a level span")
     p.add_argument("seq")
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_level", type=int, required=True)
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--budget", type=int, default=None, help="enumeration budget (chains)")
-    p.set_defaults(func=cmd_chains)
+    p.set_defaults(func="cmd_chains")
 
     p = sub.add_parser("grid", parents=[fmt], help="layer grid P(k, n)")
     p.add_argument("k", type=int)
@@ -277,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--whitney", action="store_true", help="rank table, both kinds")
     g.add_argument("--bell", action="store_true", help="sum of rank counts")
     g.add_argument("--maxchains", action="store_true", help="dominated-path count")
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func="cmd_grid")
 
     p = sub.add_parser("diagonal", parents=[fmt], help="diagonal Whitney/Bell-like numbers")
     p.add_argument("seq")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--triangle", action="store_true", help="print the Whitney triangle")
-    p.set_defaults(func=cmd_diagonal)
+    p.set_defaults(func="cmd_diagonal")
 
     p = sub.add_parser("tile", parents=[fmt], help="partition chains into product blocks")
     p.add_argument("seq")
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"search node budget (default from ${NODE_BUDGET_ENV})",
     )
-    p.set_defaults(func=cmd_tile)
+    p.set_defaults(func="cmd_tile")
 
     p = sub.add_parser("bell-classic", parents=[fmt], help="classical Bell numbers")
     p.add_argument("n", type=int)
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TOL",
         help="also evaluate the Dobinski series to this relative tolerance",
     )
-    p.set_defaults(func=cmd_bell_classic)
+    p.set_defaults(func="cmd_bell_classic")
 
     return parser
 
@@ -327,7 +334,7 @@ def main(argv=None) -> int:
         saved_digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        document, lines, code = args.func(args)
+        document, lines, code = globals()[args.func](args)
         try:
             if args.format == "json":
                 _print_json(document)

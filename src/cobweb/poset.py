@@ -29,14 +29,32 @@ MATRIX_ENTRY_BUDGET = 20_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
-    """An enumeration that would exceed its budget; carries the exact size."""
+    """An enumeration that would exceed its budget.
 
-    def __init__(self, predicted: int, budget: int, unit: str = "chains"):
+    ``predicted`` is the exact size or, when ``at_least``, a lower bound
+    on it that already exceeds the budget (see product_past).
+    """
+
+    def __init__(self, predicted: int, budget: int, unit: str = "chains", at_least: bool = False):
         self.predicted = predicted
         self.budget = budget
-        super().__init__(
-            f"enumeration would visit {predicted} {unit}, over the budget of {budget}"
-        )
+        size = f"at least {predicted}" if at_least else predicted
+        super().__init__(f"enumeration would visit {size} {unit}, over the budget of {budget}")
+
+
+def product_past(factors, bound: int) -> int:
+    """The product of factors >= 1, multiplied only until it passes bound.
+
+    The result exceeds bound iff the whole product does, and is then a
+    lower bound on it, so a refusal costs no more than the budget it
+    checks: the product of 3000 Fibonacci numbers has 940,000 digits.
+    """
+    product = 1
+    for f in factors:
+        product *= f
+        if product > bound:
+            break
+    return product
 
 
 def _ilen(iterable) -> int:
@@ -167,9 +185,10 @@ class CobwebPoset:
     ) -> list[range]:
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
-        predicted = self.count_max_chains(from_level, to_level)
-        if predicted > budget:
-            raise EnumerationBudgetError(predicted, budget)
+        self._check_span(from_level, to_level)
+        bound = product_past(self.level_sizes[from_level:to_level + 1], budget)
+        if bound > budget:
+            raise EnumerationBudgetError(bound, budget, at_least=True)
         return [range(1, self.level_sizes[p] + 1) for p in range(from_level, to_level + 1)]
 
     def enumerate_max_chains(

@@ -65,10 +65,10 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .poset import product_past
 from .sequences import is_cobweb_admissible
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; .sequences at run time is a cycle
@@ -90,13 +90,18 @@ _MEMO_ENTRY_BYTES = 200
 
 
 class TilingBudgetError(RuntimeError):
-    """A build that would exceed a budget; carries the exact predicted size."""
+    """A build that would exceed a budget.
 
-    def __init__(self, kind: str, predicted: int, budget: int):
+    ``predicted`` is the exact size or, when ``at_least``, a lower bound
+    on it that already exceeds the budget (see product_past).
+    """
+
+    def __init__(self, kind: str, predicted: int, budget: int, at_least: bool = False):
         self.kind = kind
         self.predicted = predicted
         self.budget = budget
-        super().__init__(f"{kind} size {predicted} exceeds the budget of {budget}")
+        size = f"at least {predicted}" if at_least else predicted
+        super().__init__(f"{kind} size {size} exceeds the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -163,9 +168,11 @@ def build_instance(
 ) -> TilingInstance:
     """Enumerate the chain universe and every candidate block.
 
-    Budgets are checked against exact predicted sizes before anything is
-    enumerated, so an oversized request fails fast with the true number,
-    the universe first: the admissibility scan is quadratic in n.
+    Budgets are checked against predicted sizes before anything is
+    enumerated, so an oversized request fails fast, the universe first:
+    the admissibility scan is quadratic in n.  The universe's level
+    sizes are multiplied only until they pass its budget, and a refusal
+    carries that running product as a lower bound.
     Each distinct size tuple is listed once and a product block's chains
     determine its subsets, so no two blocks are equal.  Blocks are
     sorted by their chain tuples, which fixes the search order once and
@@ -185,9 +192,9 @@ def build_instance(
     m = n - k
     sizes = tuple(1 if p == 0 else seq.value(p) for p in range(k, n + 1))
 
-    predicted_universe = math.prod(sizes)
-    if predicted_universe > universe_budget:
-        raise TilingBudgetError("universe", predicted_universe, universe_budget)
+    universe_bound = product_past(sizes, universe_budget)
+    if universe_bound > universe_budget:
+        raise TilingBudgetError("universe", universe_bound, universe_budget, at_least=True)
 
     verdict = is_cobweb_admissible(seq, n)
     if not verdict.admissible:
@@ -560,6 +567,10 @@ def _solve(
         if jobs == 1:
             results = map(cover.search, *searches)
         else:
+            # Imported here, so that only a run that makes a pool loads
+            # concurrent.futures and multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(
                 min(jobs, len(branches), _cpu_count()), initializer=_init_worker, initargs=(cover,)
             )

@@ -213,7 +213,8 @@ def test_chains_budget_exit_3(capsys):
     code, out, err = run(capsys, "chains", "gauss:2", "--from", "0", "--to", "7", "--enumerate")
     assert code == 3
     assert out == ""
-    assert "inconclusive" in err and "78129765" in err
+    # levels 0..6 already hold 1*1*3*7*15*31*63 > 100000 chains (of 78129765)
+    assert "inconclusive" in err and "at least 615195 chains" in err
 
 
 def test_chains_refused_json_prints_nothing(capsys):
@@ -222,7 +223,7 @@ def test_chains_refused_json_prints_nothing(capsys):
         "--format", "json",
     )
     assert (code, out) == (3, "")
-    assert "inconclusive" in err and "78129765" in err
+    assert "inconclusive" in err and "at least 615195 chains" in err
 
 
 def test_chains_enumerate_streams(capsys, monkeypatch):
@@ -590,3 +591,112 @@ def test_every_outcome_is_a_contract_exit_code(argv):
     assert "Traceback" not in err.getvalue()
     if code in (1, 2) or (code == 3 and argv[0] != "tile"):
         assert out.getvalue() == "", (argv, code)
+
+
+# --- one parser per process -------------------------------------------------
+
+# Every subcommand in both formats, with usage errors (2), domain errors (1)
+# and budget exits (3).  A flagged query precedes its plain form, and JSON
+# precedes text, so a cached parser that kept a flag or a format from an
+# earlier call would show here.
+MIXED_ARGVS = [
+    ["fnomial", "fib", "5", "2", "--format", "json"],
+    ["fnomial", "fib", "5", "2"],
+    ["fnomial", "odd", "4", "2"],
+    ["fnomial", "fib", "2", "5"],
+    ["fnomial", "nope", "2", "1"],
+    ["fnomial", "fib", "5"],
+    ["admissible", "fib", "--max", "12", "--format", "json"],
+    ["admissible", "odd", "--max", "6"],
+    ["gcdmorphic", "fib", "--max", "10", "--format", "json"],
+    ["gcdmorphic", "fib", "--max", "10"],
+    ["zeta", "fib", "--levels", "4", "--size", "5", "--format", "json"],
+    ["zeta", "fib", "--levels", "4", "--size", "5"],
+    ["mobius", "nat", "--levels", "3"],
+    ["mobius", "fib", "--levels", "3", "--size", "14"],
+    ["chains", "fib", "--from", "1", "--to", "5", "--enumerate", "--format", "json"],
+    ["chains", "fib", "--from", "1", "--to", "5", "--enumerate"],
+    ["chains", "fib", "--from", "1", "--to", "5"],
+    ["chains", "gauss:2", "--from", "0", "--to", "7", "--enumerate"],
+    ["chains", "nat", "--from", "3", "--to", "1"],
+    ["grid", "2", "3", "--whitney"],
+    ["grid", "2", "3"],
+    ["grid", "2", "3", "--bell", "--format", "json"],
+    ["grid", "2", "3", "--maxchains"],
+    ["grid", "2", "3", "--whitney", "--bell"],
+    ["diagonal", "fib", "--n", "6", "--triangle", "--format", "json"],
+    ["diagonal", "fib", "--n", "6"],
+    ["tile", "nat", "1", "4", "--count", "--witness", "--format", "json"],
+    ["tile", "nat", "1", "4", "--count", "--witness"],
+    ["tile", "nat", "1", "4"],
+    ["tile", "fib", "1", "4", "--node-budget", "1"],
+    ["tile", "gauss:2", "0", "9"],
+    ["tile", "odd", "1", "4"],
+    ["tile", "nat", "1", "3", "--sigma", "some"],
+    ["bell-classic", "10", "--dobinski", "1e-9", "--format", "json"],
+    ["bell-classic", "10"],
+    ["bell-classic", "-1"],
+    ["nosuch"],
+]
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_answers_as_a_fresh_one(monkeypatch):
+    shared = [outcome(argv) for argv in MIXED_ARGVS * 2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [outcome(argv) for argv in MIXED_ARGVS]
+    assert shared == fresh * 2
+    assert {code for code, _, _ in fresh} == {0, 1, 2, 3}
+    assert {argv[0] for argv in MIXED_ARGVS} == {
+        "fnomial", "admissible", "gcdmorphic", "zeta", "mobius", "chains", "grid",
+        "diagonal", "tile", "bell-classic", "nosuch",
+    }
+
+
+def test_main_calls_the_handler_bound_at_call_time(capsys, monkeypatch):
+    cli.build_parser()  # built before the handler is rebound
+    seen = []
+    real = cli.cmd_grid
+
+    def recording(args):
+        seen.append((args.k, args.n))
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_grid", recording)
+    assert run(capsys, "grid", "2", "3") == (0, "6\n", "")
+    assert seen == [(2, 3)]
+
+
+def test_start_up_imports_no_process_pool():
+    src = str(pathlib.Path(cobweb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, cobweb.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tile", "fib", "0", "3000"],
+    ["chains", "fib", "--from", "0", "--to", "3000", "--enumerate"],
+])
+def test_refusal_stops_multiplying_at_the_budget(capsys, argv):
+    # The product of all 3001 level sizes has about 940,000 digits; levels
+    # 0..12 already hold 1*1*1*2*3*5*8*13*21*34*55*89*144 > 100000 chains.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert "at least 2227680" in err and len(err) < 1000

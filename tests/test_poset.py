@@ -5,6 +5,7 @@ complete-bipartite cover rule: (j,p) <= (i,q) iff the vertices are equal
 or p < q.  It doubles as the golden value for the checked-in fixture.
 """
 import itertools
+import operator
 
 import pytest
 
@@ -230,12 +231,16 @@ def test_enumerate_chains_are_saturated_and_sorted():
 
 def test_enumeration_budget():
     p = poset("gauss:2", 7)
-    predicted = p.count_max_chains(0, 7)
-    assert predicted == 78129765
+    assert p.count_max_chains(0, 7) == 78129765
     with pytest.raises(EnumerationBudgetError) as info:
         next(p.enumerate_max_chains(0, 7))
-    assert info.value.predicted == predicted
+    # The refusal carries the running product at the first level past the
+    # budget: levels 0..6 of 2^p - 1 vertices (level 0 holds the root).
+    sizes = [1] + [2**p - 1 for p in range(1, 8)]
+    bound = next(x for x in itertools.accumulate(sizes, operator.mul) if x > DEFAULT_ENUMERATION_BUDGET)
+    assert info.value.predicted == bound == 615195
     assert info.value.budget == DEFAULT_ENUMERATION_BUDGET
+    assert "at least 615195 chains" in str(info.value)
     # an explicit budget admits the run; the span below stays tiny
     assert p.count_max_chains_by_enumeration(0, 2, budget=10) == 3
 

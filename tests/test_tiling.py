@@ -3,11 +3,13 @@
 Expected counts live in fixtures/tiling/*.json, stamped by the solver's
 first run and treated as regression values from then on.
 """
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
 import json
 import math
+import operator
 import pathlib
 import tracemalloc
 
@@ -198,7 +200,7 @@ def test_jobs_pool_is_capped_at_the_cpus(monkeypatch):
         def shutdown(self, cancel_futures):
             pass
 
-    monkeypatch.setattr(tiling, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(tiling, "_cpu_count", lambda: 2)
     monkeypatch.setattr(tiling, "_worker_cover", None)
     inst = build_instance(parse_sequence("nat"), 1, 4)  # 13 root branches
@@ -633,10 +635,13 @@ def test_universe_budget_exact_prediction():
     g2 = parse_sequence("gauss:2")
     with pytest.raises(TilingBudgetError) as info:
         build_instance(g2, 0, 9)
-    sizes = [1] + [g2.value(p) for p in range(1, 10)]
+    # The refusal carries the running product at the first level past the
+    # budget, a lower bound on the whole universe.
+    sizes = [1] + [2**p - 1 for p in range(1, 10)]
+    bound = next(x for x in itertools.accumulate(sizes, operator.mul) if x > info.value.budget)
     assert info.value.kind == "universe"
-    assert info.value.predicted == math.prod(sizes)
-    assert info.value.predicted > info.value.budget
+    assert info.value.predicted == bound == 615195 < math.prod(sizes)
+    assert "at least 615195" in str(info.value)
 
 
 def test_universe_budget_comes_before_the_admissibility_scan(monkeypatch):
