@@ -1,44 +1,57 @@
 """Stirling set numbers, Bell numbers, and the Dobinski series check.
 
-The exact side is the classical triangle recurrence, run in place on a
-single row, so B_n costs one row of memory rather than the whole
-triangle; the approximate side evaluates e^-1 * sum k^n / k! with
+The exact side is closed-form sums, each walked with O(1) big integers
+and no table: S(n, k) by its inclusion-exclusion sum over k + 1 terms,
+and B_n by n! B_n = sum_k C(n, k) D_(n-k) k^n over the derangement
+numbers D.  The approximate side evaluates e^-1 * sum k^n / k! with
 extended-precision decimals and an a-posteriori truncation bound, so a
 1e-9 relative tolerance is meaningful through n = 20.
 """
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 
 MAX_DOBINSKI_N = 20
 _MAX_TERMS = 4000
 
 
-def _stirling_row(n: int) -> list[int]:
-    """[S(n, 0), ..., S(n, n)]: the triangle recurrence run in place on one row.
-
-    Step m rewrites the row from the right, so row[k - 1] still holds
-    S(m-1, k-1) when S(m, k) = k S(m-1, k) + S(m-1, k-1) is formed.
-    """
-    row = [1]
-    for m in range(1, n + 1):
-        row.append(0)
-        for k in range(m, 0, -1):
-            row[k] = k * row[k] + row[k - 1]
-        row[0] = 0
-    return row
-
-
 def stirling2(n: int, k: int) -> int:
+    """S(n, k) = (1/k!) sum_j (-1)^(k-j) C(k, j) j^n, over k + 1 terms.
+
+    C(k, j) is carried from term to term, so no row is kept.
+    """
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
-    return _stirling_row(n)[k] if k <= n else 0
+    if k > n:
+        return 0
+    total, c = 0, 1  # c = C(k, j)
+    for j in range(k + 1):
+        term = c * pow(j, n)
+        total += -term if (k - j) % 2 else term
+        c = c * (k - j) // (j + 1)
+    return total // math.factorial(k)
 
 
 def bell_exact(n: int) -> int:
+    """B_n from n! B_n = sum_(k=1..n) C(n, k) D_(n-k) k^n, one exact division.
+
+    Summing k! S(n, k) = sum_j (-1)^(k-j) C(k, j) j^n over k collects
+    each j^n with the alternating sum that makes the derangement number
+    D_m = m D_(m-1) + (-1)^m.  The walk runs k down from n, carrying
+    C(n, k) and D_(n-k), so memory is a few big integers.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return sum(_stirling_row(n))
+    if n == 0:
+        return 1
+    total, c, d = 0, 1, 1  # c = C(n, k), d = D_(n-k)
+    for k in range(n, 0, -1):
+        total += c * d * pow(k, n)
+        j = n - k + 1
+        d = j * d + (-1 if j % 2 else 1)
+        c = c * k // j
+    return total // math.factorial(n)
 
 
 def bell_dobinski(n: int, rel_tol: float = 1e-9) -> float:

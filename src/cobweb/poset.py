@@ -120,9 +120,9 @@ class CobwebPoset:
             raise ValueError(f"max_level must be >= 0, got {max_level}")
         self.seq = seq
         self.max_level = max_level
-        self.level_sizes = tuple(
-            [1] + [seq.value(p) for p in range(1, max_level + 1)]
-        )
+        sizes = seq.values(max_level)
+        sizes[0] = 1  # the root level
+        self.level_sizes = tuple(sizes)
         starts = [0]
         for s in self.level_sizes:
             starts.append(starts[-1] + s)

@@ -7,6 +7,7 @@ root would tear the poset apart.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +27,17 @@ class AdmissibleSequence:
     beyond it.
     """
 
-    def __init__(self, name: str, fn: Callable[[int], int], length: int | None = None):
+    def __init__(
+        self,
+        name: str,
+        fn: Callable[[int], int],
+        length: int | None = None,
+        step: Callable[[int, int], int] | None = None,
+    ):
         self.name = name
         self.length = length
         self._fn = fn
+        self._step = step  # F_n from (F_(n-2), F_(n-1)), for runs of values
         self._cache: dict[int, int] = {0: 0}
 
     def value(self, n: int) -> int:
@@ -41,17 +49,33 @@ class AdmissibleSequence:
             )
         v = self._cache.get(n)
         if v is None:
-            v = self._fn(n)
-            if v < 1:
-                raise ValueError(
-                    f"sequence {self.name!r} has F_{n} = {v}; need F_n >= 1 for n >= 1"
-                )
-            self._cache[n] = v
+            v = self._store(n, self._fn(n))
         return v
 
     def values(self, upto: int) -> list[int]:
-        """[F_0, F_1, ..., F_upto]."""
-        return [self.value(n) for n in range(upto + 1)]
+        """[F_0, F_1, ..., F_upto].
+
+        A sequence with a ``step`` forms each value past F_1 from the
+        two before it (one addition for fib) instead of evaluating its
+        closed form once per index.
+        """
+        if self._step is None or upto < 2:
+            return [self.value(n) for n in range(upto + 1)]
+        out = [0, self.value(1)]
+        for n in range(2, upto + 1):
+            v = self._cache.get(n)
+            if v is None:
+                v = self._store(n, self._step(out[-2], out[-1]))
+            out.append(v)
+        return out
+
+    def _store(self, n: int, v: int) -> int:
+        if v < 1:
+            raise ValueError(
+                f"sequence {self.name!r} has F_{n} = {v}; need F_n >= 1 for n >= 1"
+            )
+        self._cache[n] = v
+        return v
 
     def __repr__(self) -> str:
         return f"AdmissibleSequence({self.name!r})"
@@ -78,6 +102,9 @@ _BUILTINS: dict[str, Callable[[int], int]] = {
     "div3": lambda n: 1 if n == 1 else 3 * (n - 1),
 }
 
+# Recurrences for runs of consecutive values (see AdmissibleSequence.values).
+_STEPS: dict[str, Callable[[int, int], int]] = {"fib": operator.add}
+
 _GRAMMAR = "nat | fib | const:<c> | gauss:<q> | even1 | odd | div3 | list:[v1,v2,...]"
 
 
@@ -92,7 +119,7 @@ def parse_sequence(spec: str) -> AdmissibleSequence:
         raise SequenceSpecError(f"sequence spec must be a string, got {type(spec).__name__}")
     spec = spec.strip()
     if spec in _BUILTINS:
-        return AdmissibleSequence(spec, _BUILTINS[spec])
+        return AdmissibleSequence(spec, _BUILTINS[spec], step=_STEPS.get(spec))
     if spec.startswith("const:"):
         c = _parse_int(spec[len("const:"):], spec)
         if c < 1:
@@ -153,14 +180,16 @@ def is_cobweb_admissible(seq: AdmissibleSequence, bound: int) -> AdmissibilityVe
     non-integral coefficient; the verdict carries the reduced quotient.
     Each row is walked with (n k)_F = (n k-1)_F * F_{n-k+1} / F_k, so the
     first step that leaves a remainder is the first non-integral
-    coefficient.  A pass is only a statement about the scanned range.
+    coefficient.  The walk stops at k = n // 2: (n k)_F = (n n-k)_F, so a
+    non-integral k > n/2 has a non-integral mirror n - k < k, met first.
+    A pass is only a statement about the scanned range.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     f = seq.values(bound)  # a list that ends before bound is an error, not a verdict
     for n in range(1, bound + 1):
         c = 1
-        for k in range(1, n + 1):
+        for k in range(1, n // 2 + 1):
             num = c * f[n - k + 1]
             c, r = divmod(num, f[k])
             if r:

@@ -190,7 +190,9 @@ def build_instance(
         block_budget = DEFAULT_BLOCK_BUDGET
 
     m = n - k
-    sizes = tuple(1 if p == 0 else seq.value(p) for p in range(k, n + 1))
+    f = seq.values(n)
+    f[0] = 1  # the root level
+    sizes = tuple(f[k:])
 
     universe_bound = product_past(sizes, universe_budget)
     if universe_bound > universe_budget:
@@ -204,7 +206,7 @@ def build_instance(
             f"({fn} {fk})_F = {verdict.failure_quotient}"
         )
 
-    base = [seq.value(i) for i in range(1, m + 1)]
+    base = f[1:m + 1]
     if sigma_policy == "identity":
         size_tuples = [tuple(base)]
     else:

@@ -88,3 +88,19 @@ def stirling_rows(max_n):
         prev = rows[-1] + [0]
         rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
     return rows
+
+
+def bell_by_triangle(max_n):
+    """[B_0, ..., B_max_n] from the Bell triangle, one row at a time.
+
+    Each row starts with the last entry of the row before and adds that
+    row's entries in turn; B_n heads row n.
+    """
+    row, bells = [1], [1]
+    for _ in range(max_n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        bells.append(row[0])
+    return bells

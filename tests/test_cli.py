@@ -1,7 +1,6 @@
 """Exit codes, text formats, and JSON schema of the command line."""
 import contextlib
 import dataclasses
-import functools
 import io
 import itertools
 import json
@@ -26,7 +25,7 @@ from cobweb import (
     parse_sequence,
 )
 from cobweb.cli import main
-from oracles import fnomial_by_factorials
+from oracles import bell_by_triangle, fnomial_by_factorials
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -467,25 +466,13 @@ def test_bell_classic_dobinski_range(capsys):
     assert "error" in err
 
 
-@functools.cache
-def bell_by_triangle(n):
-    """B_n from the Bell triangle, one row at a time (independent of bell_exact)."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "argv,key,value",
     [
         (("fnomial", "fib", "300", "150"), "value",
          lambda: fnomial_by_factorials(parse_sequence("fib").values(300), 300, 150)),
-        (("bell-classic", "2000"), "bell", lambda: bell_by_triangle(2000)),
+        (("bell-classic", "2000"), "bell", lambda: bell_by_triangle(2000)[-1]),
     ],
     ids=["fnomial", "bell-classic"],
 )
@@ -691,12 +678,27 @@ def test_start_up_imports_no_process_pool():
 @pytest.mark.parametrize("argv", [
     ["tile", "fib", "0", "3000"],
     ["chains", "fib", "--from", "0", "--to", "3000", "--enumerate"],
+    ["tile", "fib", "0", "30000"],
+    ["chains", "fib", "--from", "0", "--to", "30000", "--enumerate"],
 ])
 def test_refusal_stops_multiplying_at_the_budget(capsys, argv):
     # The product of all 3001 level sizes has about 940,000 digits; levels
     # 0..12 already hold 1*1*1*2*3*5*8*13*21*34*55*89*144 > 100000 chains.
+    # Every level size is still read first, one addition each for fib
+    # (one fast doubling per index took seconds at 30000 levels).
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 2
     assert (code, out) == (3, "")
     assert "at least 2227680" in err and len(err) < 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["tile", "list:[5,5,5,5,5,5,5,5]", "0", "20"],
+    ["chains", "list:[5,5,5,5,5,5,5,5]", "--from", "0", "--to", "20", "--enumerate"],
+])
+def test_short_list_is_a_domain_error_before_the_budget(capsys, argv):
+    # 5^8 chains already pass the budget, but F_9 does not exist.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "defines values for n <= 8, got 9" in err

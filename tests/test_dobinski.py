@@ -1,11 +1,11 @@
-"""Stirling triangle, exact Bell numbers, and the Dobinski series."""
+"""Stirling numbers, exact Bell numbers, and the Dobinski series."""
 import math
 import tracemalloc
 
 import pytest
 
 from cobweb import bell_dobinski, bell_exact, stirling2
-from oracles import stirling_rows
+from oracles import bell_by_triangle, stirling_rows
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -43,7 +43,7 @@ def test_bell_exact_values():
 
 
 def test_single_row_matches_the_table():
-    """bell_exact and stirling2 keep one row; the full table is their oracle."""
+    """bell_exact and stirling2 keep no row; the full table is their oracle."""
     table = stirling_rows(200)
     for n in range(201):
         assert bell_exact(n) == sum(table[n])
@@ -51,16 +51,38 @@ def test_single_row_matches_the_table():
         assert [stirling2(n, k) for k in range(n + 2)] == table[n] + [0]
 
 
+def test_bell_exact_matches_the_bell_triangle():
+    bells = bell_by_triangle(1000)
+    for n in [*range(301), 999, 1000]:
+        assert bell_exact(n) == bells[n], n
+
+
+def test_stirling_row_sums_are_bell_at_400():
+    assert sum(stirling2(400, k) for k in range(401)) == bell_by_triangle(400)[-1]
+
+
+def test_stirling_spot_checks_at_1000():
+    """Closed forms of the outer diagonals, and the triangle recurrence inside."""
+    n = 1000
+    assert stirling2(n, 1) == 1
+    assert stirling2(n, 2) == 2 ** (n - 1) - 1
+    assert stirling2(n, n - 1) == math.comb(n, 2)
+    assert stirling2(n, n - 2) == math.comb(n, 3) + 3 * math.comb(n, 4)
+    for k in (3, 500, 997):
+        assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
 def test_bell_exact_memory_is_one_row():
-    # The whole triangle up to n = 1000 peaks above 200 MB; one row needs
-    # under 1 MB.
+    # The whole triangle up to n = 1000 peaks above 200 MB and one of its
+    # rows near 600 KB; the streamed sum holds a few integers of ~1 KB,
+    # well under one row (14 KB peak measured).
     tracemalloc.start()
     try:
         bell_exact(1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20_000_000
+    assert peak < 256 * 1024
 
 
 def test_row_sums_are_bell():

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -36,6 +38,18 @@ def test_fib_values_match_the_recurrence():
     while len(expected) <= 3000:
         expected.append(expected[-1] + expected[-2])
     assert parse_sequence("fib").values(3000) == expected[:3001]
+
+
+def test_fib_runs_agree_with_lone_values():
+    """values() adds, value() doubles; either order of calls gives the same numbers."""
+    doubled = parse_sequence("fib")
+    expected = [doubled.value(n) for n in range(401)]
+    assert parse_sequence("fib").values(400) == expected
+    mixed = parse_sequence("fib")
+    assert mixed.value(250) == expected[250]
+    assert mixed.values(400) == expected
+    assert mixed.value(399) == expected[399]
+    assert [parse_sequence("fib").values(n) for n in (0, 1, 2)] == [[0], [0, 1], [0, 1, 1]]
 
 
 def test_gauss_base_one_is_nat():
@@ -185,6 +199,17 @@ def test_admissibility_scan_matches_factorial_oracle(spec):
         assert verdict == expected, (spec, bound)
         if not verdict.admissible:
             assert isinstance(verdict.failure_quotient, Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+def test_half_row_scan_matches_the_full_row_oracle(values):
+    """(n k)_F = (n n-k)_F, so walking each row to n // 2 finds the
+    first failure the full, factorial-dividing scan finds."""
+    spec = f"list:[{','.join(map(str, values))}]"
+    for bound in range(len(values) + 1):
+        expected = scan_by_factorials(parse_sequence(spec), bound)
+        assert is_cobweb_admissible(parse_sequence(spec), bound) == expected, (spec, bound)
 
 
 def test_admissibility_verdict_shape():
