@@ -30,6 +30,13 @@ keeps the first one as the witness, and existence is a count capped at
 one.  Budgets turn oversized work into an explicit "inconclusive"
 outcome instead of an open-ended run.
 
+Tables come from level subsets, not chain lists.  With a_i the size of
+level k + i, s_i = a_1 + ... + a_(i-1) and P_i = sum(a) + bitlen(a_(i+1))
++ ... + bitlen(a_m), blocks S_1..S_m of a root sort by chain tuple as by
+the key sum_i (S_i[0] << P_i) + (sum of 2**(a_i - j) over j not in S_i)
+<< s_i.  A chain's bitset is AND_i V[i][j_i], V[i][j] a key bit column.
+A built instance keeps root 1's keys; Blocks and chains are made lazily.
+
 An instance made by build_instance is marked symmetric: its blocks are
 every product block of its sigma policy, a set closed under the
 permutations of each level.  The search then factors out the roots.
@@ -65,6 +72,7 @@ import itertools
 import math
 import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -123,7 +131,7 @@ class TilingInstance:
     level_sizes: tuple[int, ...]  # sizes of levels k..n
     block_size: int  # m_F!: chains per block
     chains: tuple[tuple[int, ...], ...]  # per-level j indices, levels k..n
-    blocks: tuple[Block, ...]
+    blocks: Sequence[Block]  # a tuple, or _LazyBlocks from build_instance
     # Set by build_instance alone, never inferred from the blocks, so that
     # copies (dataclasses.replace, instance_from_json) take the plain search.
     symmetric: bool = field(default=False, init=False, repr=False, compare=False)
@@ -173,12 +181,10 @@ def build_instance(
     the admissibility scan is quadratic in n.  The universe's level
     sizes are multiplied only until they pass its budget, and a refusal
     carries that running product as a lower bound.
-    Each distinct size tuple is listed once and a product block's chains
-    determine its subsets, so no two blocks are equal.  Blocks are
-    sorted by their chain tuples, which fixes the search order once and
-    for all.  Only root 1's chain tuples are computed; the other roots'
-    are offsets of them.  The instance is marked symmetric (see the
-    module docstring).
+    Each distinct size tuple is listed once and a key determines its
+    subsets, so no two blocks are equal.  Sorting root 1's keys sorts its
+    blocks by chain tuple, fixing the search order; the other roots
+    repeat them.  The instance is marked symmetric (see the module docstring).
     """
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
@@ -219,28 +225,14 @@ def build_instance(
     if predicted_blocks > block_budget:
         raise TilingBudgetError("candidate blocks", predicted_blocks, block_budget)
 
-    chains = tuple(itertools.product(*(range(1, s + 1) for s in sizes)))
-    span = len(chains) // sizes[0]  # chains per root
-
-    block_size = math.prod(base)
-    first = []  # root 1's blocks
+    keys, fields = [], _key_fields(sizes[1:])  # root 1's blocks
     for st in size_tuples:
-        if any(t > size for t, size in zip(st, sizes[1:])):
+        if any(t > a for t, (a, _, _) in zip(st, fields)):
             continue  # a requested size exceeds its level, no such block
-        subset_pools = [
-            tuple(itertools.combinations(range(1, size + 1), t)) for t, size in zip(st, sizes[1:])
-        ]
-        for subsets in itertools.product(*subset_pools):
-            first.append(Block(1, st, subsets, _members(sizes, 1, subsets)))
-    first.sort(key=lambda block: block.chains)
-    # Chains are root-major, so root r + 1 has root 1's blocks with every
-    # chain offset by r * span, and the blocks sorted by their chain
-    # tuples are root 1's repeated root by root.
-    blocks = first + [
-        Block(r + 1, b.sizes, b.level_subsets, tuple(map((r * span).__add__, b.chains)))
-        for r in range(1, sizes[0])
-        for b in first
-    ]
+        pools = ([_term(f, s) for s in itertools.combinations(range(1, f[0] + 1), t)]
+                 for t, f in zip(st, fields))
+        keys += map(sum, itertools.product(*pools))
+    keys.sort()
 
     instance = TilingInstance(
         sequence_spec=seq.name,
@@ -248,9 +240,9 @@ def build_instance(
         n=n,
         sigma_policy=sigma_policy,
         level_sizes=sizes,
-        block_size=block_size,
-        chains=chains,
-        blocks=tuple(blocks),
+        block_size=math.prod(base),
+        chains=tuple(itertools.product(*(range(1, s + 1) for s in sizes))),
+        blocks=_LazyBlocks(sizes, keys),
     )
     object.__setattr__(instance, "symmetric", True)
     return instance
@@ -286,6 +278,74 @@ def _members(sizes: tuple[int, ...], root: int, subsets) -> tuple[int, ...]:
     return tuple(members)
 
 
+def _key_fields(levels: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Per level k + i: a_i and the shifts P_i and s_i of its term in a block key."""
+    firsts = itertools.accumulate(map(int.bit_length, levels[:0:-1]), initial=sum(levels))
+    return list(zip(levels, reversed(list(firsts)), itertools.accumulate(levels, initial=0)))
+
+
+def _term(field: tuple[int, int, int], subset: tuple[int, ...]) -> int:
+    """A level's term of a block key (see the module docstring)."""
+    a, first, low = field
+    return (subset[0] << first) + (((1 << a) - 1 - sum(1 << (a - j) for j in subset)) << low)
+
+
+class _LazyBlocks(Sequence):
+    """A built instance's blocks over root 1's sorted keys, equal to the tuple of its Blocks."""
+
+    def __init__(self, level_sizes: tuple[int, ...], keys: list[int]):
+        self.level_sizes, self.keys = level_sizes, keys
+        self.fields = _key_fields(level_sizes[1:])
+
+    def __len__(self) -> int:
+        return self.level_sizes[0] * len(self.keys)
+
+    def __getitem__(self, b):
+        b = range(len(self))[b]  # negative indices and IndexError as a tuple has them
+        s, root = self.subsets(b), b // len(self.keys) + 1
+        return Block(root, tuple(map(len, s)), s, _members(self.level_sizes, root, s))
+
+    def subsets(self, b: int) -> tuple[tuple[int, ...], ...]:
+        key, subsets = self.keys[b % len(self.keys)], []
+        for a, _, low in self.fields:
+            held, subset = ~key >> low & ((1 << a) - 1), []
+            while held:
+                subset.append(a + 1 - held.bit_length())
+                held ^= 1 << (a - subset[-1])
+            subsets.append(tuple(subset))
+        return tuple(subsets)
+
+    def __eq__(self, other):
+        return tuple(self) == other if isinstance(other, (tuple, _LazyBlocks)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class _Chains(dict):
+    """Block index -> chain indices of a _LazyBlocks block, made on first use."""
+
+    def __init__(self, blocks: _LazyBlocks):
+        self.blocks = blocks
+
+    def __missing__(self, b: int) -> tuple[int, ...]:
+        root, subsets = b // len(self.blocks.keys) + 1, self.blocks.subsets(b)
+        self[b] = chains = _members(self.blocks.level_sizes, root, subsets)
+        return chains
+
+
+def _chain_bits(keys: list[int], fields: list[tuple[int, int, int]]) -> list[int]:
+    """Each chain's bitset over one root's blocks, bit q for keys[q] (see the module docstring)."""
+    width = fields[0][1] + fields[0][0].bit_length()
+    text = "".join(map(format, keys, itertools.repeat(f"0{width}b")))
+    bits = [(1 << len(keys)) - 1]
+    for a, _, low in fields:
+        ends = range(len(text) - low - a, len(text) - low)  # the last key's vertices 1..a
+        lacking = [int(text[c::-width] or "0", 2) for c in ends]
+        bits = [x & ~v for x in bits for v in lacking]
+    return bits
+
+
 # --- exact cover search ------------------------------------------------------
 
 class _ExactCover:
@@ -319,13 +379,17 @@ class _ExactCover:
         roots = instance.level_sizes[0]
         self.span = span = len(instance.chains) // roots  # chains per root
         blocks = instance.blocks
-        if instance.symmetric:  # the other roots repeat root 1 (see the module docstring)
-            blocks = blocks[:len(blocks) // roots]
-            roots = 1
-        self.block_chains = block_chains = [block.chains for block in blocks]
-        self.root_blocks: list[list[int]] = [[] for _ in range(roots)]
-        for b, chains in enumerate(block_chains):
-            self.root_blocks[chains[0] // span].append(b)
+        fields = _key_fields(instance.level_sizes[1:])
+        if isinstance(blocks, _LazyBlocks):  # root 1's keys serve every root; symmetric: root 1
+            roots, width = (1 if instance.symmetric else roots), len(blocks.keys)
+            self.root_blocks = [list(range(r * width, (r + 1) * width)) for r in range(roots)]
+            root_keys, self.block_chains = [blocks.keys] * roots, _Chains(blocks)
+        else:
+            self.block_chains = [block.chains for block in blocks]
+            self.root_blocks, root_keys = [[] for _ in range(roots)], [[] for _ in range(roots)]
+            for b, block in enumerate(blocks):
+                self.root_blocks[block.root - 1].append(b)
+                root_keys[block.root - 1].append(sum(map(_term, fields, block.level_subsets)))
         # A select that kills more blocks than this recounts its root's live
         # counts.  A recount takes an AND and a popcount per chain over the
         # root's blocks, about one decrement's time per 512 blocks (CPython
@@ -333,15 +397,7 @@ class _ExactCover:
         # than the root has, times 1 + blocks // 512.
         width = max(map(len, self.root_blocks))
         self.most_killed = span * (1 + width // 512) // instance.block_size
-        # Each chain's bitset as little-endian bytes, bit j for local rank j.
-        rows = [bytearray((len(bs) + 7) // 8) for bs in self.root_blocks for _ in range(span)]
-        for bs in self.root_blocks:
-            # Local rank j is mask m = 1 << (j % 8) of byte q = j // 8.
-            places = itertools.product(range((len(bs) + 7) // 8), (1, 2, 4, 8, 16, 32, 64, 128))
-            for (q, m), b in zip(places, bs):
-                for c in block_chains[b]:
-                    rows[c][q] |= m
-        self.bits = [int.from_bytes(row, "little") for row in rows]
+        self.bits = [c for keys in root_keys for c in _chain_bits(keys, fields)]
         self.counts = list(map(int.bit_count, self.bits))
         # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
         self.memo: dict[int, tuple[int, int]] = {}
@@ -377,14 +433,16 @@ class _ExactCover:
         most_killed = self.most_killed
         memo = self.memo
         memo_limit = self.memo_limit
-        covered = 1 << len(block_chains).bit_length()
+        covered = 1 << sum(map(len, root_blocks)).bit_length()
         live = list(self.counts)
         alive = [(1 << len(bs)) - 1 for bs in root_blocks]
+        many = len(root_blocks) > 1  # then keep each root's least live count in ``lows``
+        lows = [min(live[r * span:(r + 1) * span]) for r in range(len(root_blocks))]
         # Per selection: its root, the blocks it killed as a local bitset,
         # the root's live slice before it if it was recounted, and the node
-        # count, cover count and covered-chain mask ``cov`` before it.
-        # ``after`` is the mask once the next selection is made.
-        trail: list[tuple[int, int, list[int] | None, int, int, int]] = []
+        # count, cover count, covered-chain mask ``cov`` and root's least
+        # count before it.  ``after`` is the mask once the next selection is made.
+        trail: list[tuple[int, int, list[int] | None, int, int, int, int]] = []
         chosen: list[int] = []
         frames = []  # per selection: an iterator over its node's untried options
         count = nodes = cov = 0
@@ -401,9 +459,9 @@ class _ExactCover:
             kill = alive[r] & conflict
             alive[r] ^= kill
             killed = kill.bit_count()
+            lo = r * span
             if killed > most_killed:
                 # Recount the root's chains; the covered ones keep their offset.
-                lo = r * span
                 saved = live[lo:lo + span]
                 live[lo:lo + span] = map(
                     operator.add,
@@ -418,17 +476,19 @@ class _ExactCover:
                         live[c] -= 1
             for c in chains:
                 live[c] += covered
-            trail.append((r, kill, saved, nodes, count, cov))
+            trail.append((r, kill, saved, nodes, count, cov, lows[r]))
             cov = after
             chosen.append(b)
 
             nodes += 1
             if nodes > budget:
                 return count, witness, True, nodes
-            low = min(live)
+            if many:  # the pivot lies in the first root that holds the least count
+                lows[r] = min(live[lo:lo + span])
+                r = lows.index(min(lows))
+            low = lows[r] if many else min(live)
             if 0 < low < covered:
-                p = live.index(low)
-                r = p // span
+                p = live.index(low, r * span)
                 options = _ranks(bits[p] & alive[r], low)
                 frames.append(map(root_blocks[r].__getitem__, options))
             else:
@@ -447,7 +507,7 @@ class _ExactCover:
                     frames.pop()
                     if not frames:  # the root branch is done; its selection stays
                         return count, witness, False, nodes
-                    r, kill, saved, nodes0, count0, cov0 = trail.pop()
+                    r, kill, saved, nodes0, count0, cov0, lows[r] = trail.pop()  # r binds first
                     alive[r] |= kill
                     if saved is None:
                         blocks = root_blocks[r]
@@ -588,7 +648,7 @@ def _solve(
         if pool is not None:  # branches no worker has started are dropped
             pool.shutdown(cancel_futures=True)
     if witness is not None:
-        width = len(cover.block_chains)  # blocks per root
+        width = len(cover.root_blocks[0])  # blocks per root
         witness = tuple(r * width + b for r in range(copies) for b in witness)
     return count**copies, witness, exhausted, nodes
 
@@ -605,7 +665,7 @@ def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[
     """
     lowest: dict[tuple[int, ...], int] = {}
     for b in branches:
-        lowest.setdefault(instance.blocks[b].sizes, b)
+        lowest.setdefault(tuple(map(len, instance.blocks.subsets(b))), b)
     levels = instance.level_sizes[1:]
     weights = (math.prod(math.comb(a - 1, t - 1) for a, t in zip(levels, st)) for st in lowest)
     return tuple(lowest.values()), tuple(weights)
@@ -669,7 +729,7 @@ def verify_partition(instance: TilingInstance, block_indices) -> bool:
     """
     chosen = list(block_indices)
     for b in chosen:
-        if not isinstance(b, int) or not 0 <= b < len(instance.blocks):
+        if isinstance(b, bool) or not isinstance(b, int) or not 0 <= b < len(instance.blocks):
             raise ValueError(f"foreign block {b!r}: not a candidate of this instance")
     covered = sorted(c for b in chosen for c in instance.blocks[b].chains)
     return covered == list(range(instance.universe_size))

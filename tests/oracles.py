@@ -6,6 +6,7 @@ reach the value it is checked against.  Vertices are (j, p) pairs:
 index j within level p.
 """
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 
 def fnomial_by_factorials(values, n, k):
@@ -104,3 +105,56 @@ def bell_by_triangle(max_n):
         row = nxt
         bells.append(row[0])
     return bells
+
+
+def size_tuples(base, sigma_policy):
+    """The distinct subset-size tuples of a tiling: base itself for
+    "identity", every distinct permutation of it for "all"."""
+    return [tuple(base)] if sigma_policy == "identity" else sorted(set(permutations(base)))
+
+
+def product_blocks(level_sizes, sizes):
+    """Every product block over levels k..n, as (root, subsets, chains).
+
+    A block is a root vertex and one subset per level above it, of sizes
+    from ``sizes``.  Its chains are the mixed-radix values of its chains'
+    per-level indices, one sum per chain, sorted.  Blocks come root by
+    root, each root's sorted by their chain tuples.
+    """
+    strides = [1]  # the weight of each level's index in a chain's value
+    for a in reversed(level_sizes[1:]):
+        strides.insert(0, strides[0] * a)
+    blocks = []
+    for root in range(1, level_sizes[0] + 1):
+        mine = []
+        for st in sizes:
+            if any(t > a for a, t in zip(level_sizes[1:], st)):
+                continue  # some level has no subset of that size, so no block
+            pools = [list(combinations(range(1, a + 1), t)) for a, t in zip(level_sizes[1:], st)]
+            for subsets in product(*pools):
+                levels = zip(((root,),) + subsets, strides)
+                weighted = [[(j - 1) * w for j in js] for js, w in levels]
+                mine.append((tuple(sorted(map(sum, product(*weighted)))), subsets))
+        mine.sort()
+        blocks += [(root, subsets, chains) for chains, subsets in mine]
+    return blocks
+
+
+def chain_bitsets(level_sizes, blocks, wanted=None):
+    """Per chain, the bitset of its root's blocks through it, from (root,
+    chains) pairs: the i-th block of a root in the given order is bit i,
+    set by one scatter per (block, chain) pair.  A dict by chain index,
+    of every chain or of those in ``wanted``."""
+    universe = 1
+    for a in level_sizes:
+        universe *= a
+    wanted = range(universe) if wanted is None else wanted
+    rows = {c: bytearray(len(blocks) // 8 + 1) for c in wanted}
+    ranks = [0] * level_sizes[0]
+    for root, chains in blocks:
+        i = ranks[root - 1]
+        for c in chains:
+            if c in rows:
+                rows[c][i // 8] |= 1 << (i % 8)
+        ranks[root - 1] += 1
+    return {c: int.from_bytes(row, "little") for c, row in rows.items()}

@@ -11,12 +11,15 @@ import json
 import math
 import operator
 import pathlib
+import pickle
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cobweb import tiling
 from cobweb import (
     TilingBudgetError,
@@ -272,7 +275,133 @@ def test_search_tables_are_per_root():
         tracemalloc.stop()
     assert peak < 10_000_000
     cover = tiling._ExactCover(inst)
-    assert (len(cover.root_blocks), len(cover.block_chains), len(cover.counts)) == (1, 201, 201)
+    assert (len(cover.root_blocks), len(cover.root_blocks[0]), len(cover.counts)) == (1, 201, 201)
+
+
+def test_build_and_tables_memory_bound():
+    """gauss:2 3 5 has 7 roots of 81530 blocks.  Root 1's sorted keys and
+    its chain bitsets peak near 27 MB under tracemalloc, where one Block
+    and one chain tuple per block of every root took 168 MB."""
+    tracemalloc.start()
+    try:
+        tiling._ExactCover(build_instance(parse_sequence("gauss:2"), 3, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000
+
+
+# --- block order and tables against the oracle --------------------------------
+
+def oracle_blocks(inst, roots):
+    """tests/oracles.py's product blocks of inst's sizes over its first ``roots`` roots."""
+    base = parse_sequence(inst.sequence_spec).values(inst.n - inst.k)[1:]
+    levels = (roots,) + inst.level_sizes[1:]
+    return oracles.product_blocks(levels, oracles.size_tuples(base, inst.sigma_policy))
+
+
+def test_block_order_and_tables_match_the_oracle():
+    """Built blocks come in the oracle's order of chain tuples, and the chain
+    bitsets built from keys equal the oracle's per-(block, chain) scatter:
+    root 1's for the built instance, every root's for its plain copy.
+    Instances of nine specs, k < n <= 5, both policies, up to 20000 blocks
+    (250 of the 254 the default budgets allow; the larger four are the
+    gauss:2 1 4 and 3 5 pairs)."""
+    compared = 0
+    for spec in SPECS + ["gauss:3"]:
+        seq = parse_sequence(spec)
+        for n in range(1, 6):
+            for k in range(n):
+                for sigma in tiling.SIGMA_POLICIES:
+                    try:
+                        inst = build_instance(seq, k, n, sigma, block_budget=20_000)
+                    except (TilingBudgetError, ValueError):
+                        continue
+                    compared += 1
+                    expected = oracle_blocks(inst, inst.level_sizes[0])
+                    assert [(b.root, b.level_subsets, b.chains) for b in inst.blocks] == expected
+                    bits = oracles.chain_bitsets(inst.level_sizes, [(r, c) for r, _, c in expected])
+                    span = inst.universe_size // inst.level_sizes[0]
+                    assert tiling._ExactCover(inst).bits == [bits[c] for c in range(span)]
+                    assert tiling._ExactCover(plain(inst)).bits == list(bits.values())
+    assert compared == 250
+
+
+@pytest.mark.parametrize("spec, k, n", [("fib", 3, 7), ("gauss:2", 3, 5)])
+def test_large_block_order_and_tables_match_the_oracle(spec, k, n):
+    """Root 1 of fib 3 7 (360100 blocks over four levels) and of gauss:2 3 5
+    (81530 blocks): the whole block order, and the bitsets of a few chains
+    (a whole table of fib 3 7 takes about 70 MB)."""
+    inst = build_instance(parse_sequence(spec), k, n)
+    expected = oracle_blocks(inst, 1)
+    assert len(inst.blocks) == len(expected) * inst.level_sizes[0]
+    for block, (_, subsets, chains) in zip(inst.blocks, expected):
+        assert (block.level_subsets, block.chains) == (subsets, chains)
+    span = inst.universe_size // inst.level_sizes[0]
+    wanted = (0, 1, span // 3, span // 2, span - 1)
+    root_1 = [(1, chains) for _, _, chains in expected]
+    bits = oracles.chain_bitsets((1,) + inst.level_sizes[1:], root_1, wanted)
+    del expected, root_1  # not held with the tables, to keep the peak down
+    cover_bits = tiling._ExactCover(inst).bits
+    assert {c: cover_bits[c] for c in wanted} == bits
+
+
+def test_tables_of_loaded_blocks_out_of_root_order():
+    """A JSON document may list blocks in any order: each root's tables rank
+    its blocks in the order they come, as the oracle's scatter does."""
+    rng = random.Random(5)
+    compared = 0
+    for inst in built_grid(3000):
+        if inst.level_sizes[0] < 2:
+            continue
+        doc = instance_to_json(inst)
+        rng.shuffle(doc["blocks"])
+        loaded = instance_from_json(doc)
+        bits = oracles.chain_bitsets(
+            inst.level_sizes, [(b["root"], b["chains"]) for b in doc["blocks"]]
+        )
+        assert tiling._ExactCover(loaded).bits == list(bits.values())
+        compared += 1
+    assert compared > 50
+
+
+def test_lazy_blocks_behave_as_their_tuple():
+    """A built instance's blocks index, iterate, compare and hash like the
+    tuple of Blocks a JSON copy holds, and a built instance and its search
+    tables survive a pickle round trip, as a spawned --jobs worker needs."""
+    inst = build_instance(parse_sequence("nat"), 2, 4)  # 2 roots of 30 blocks
+    blocks = inst.blocks
+    copy = instance_from_json(instance_to_json(inst))
+    eager = copy.blocks
+    assert isinstance(eager, tuple) and not isinstance(blocks, tuple)
+    assert len(blocks) == len(eager) == 60
+    assert list(blocks) == list(eager)
+    assert (blocks[-1], blocks[-60], blocks[31]) == (eager[-1], eager[0], eager[31])
+    for b in (60, -61):
+        with pytest.raises(IndexError):
+            blocks[b]
+    assert blocks == eager and eager == blocks
+    assert blocks != eager[:-1] and eager[:-1] != blocks
+    assert inst == copy and copy == inst
+    assert hash(blocks) == hash(eager) and hash(inst) == hash(copy)
+
+    replaced = dataclasses.replace(inst)
+    assert replaced.blocks is blocks and not replaced.symmetric
+    assert count_partitions(replaced) == count_partitions(copy) == TilingCountResult(
+        "exact", 17424, 55728, exists_partition(copy).witness
+    )
+
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst and again.symmetric
+    assert count_partitions(again) == count_partitions(inst)
+    cover = tiling._ExactCover(inst)
+    first, *rest = cover.root_branches()
+    cover.search(first, 10**6, None)  # fills some chains and the memo
+    cover = pickle.loads(pickle.dumps(cover))
+    fresh = tiling._ExactCover(inst)
+    fresh.search(first, 10**6, None)
+    for b in rest:
+        assert cover.search(b, 10**6, None) == fresh.search(b, 10**6, None)
 
 
 # --- the roots factor and the orbits at the root ------------------------------
@@ -674,6 +803,16 @@ def test_verify_partition():
         verify_partition(inst, [len(inst.blocks)])
     with pytest.raises(ValueError):
         verify_partition(inst, ["0"])
+
+
+def test_verify_partition_rejects_bools():
+    """False and True are ints to isinstance, but not block indices: the one
+    block of (const:1, 0, 3) tiles its one chain, and [False] must not."""
+    inst = build_instance(parse_sequence("const:1"), 0, 3)
+    assert verify_partition(inst, [0])
+    for flag in (False, True):
+        with pytest.raises(ValueError, match="foreign block"):
+            verify_partition(inst, [flag])
 
 
 @pytest.mark.parametrize("spec, n", [("gauss:3", 4), ("gauss:2", 5)])
