@@ -42,9 +42,6 @@ from .tiling import (
     witness_to_json,
 )
 
-NODE_BUDGET_ENV = "COBWEB_NODE_BUDGET"
-
-
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj))
 
@@ -174,16 +171,6 @@ _COUNT_LINES = {
 
 def cmd_tile(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
-    node_budget = args.node_budget
-    if node_budget is None:
-        env = os.environ.get(NODE_BUDGET_ENV)
-        if env is not None:
-            try:
-                node_budget = int(env)
-            except ValueError:
-                raise SequenceSpecError(
-                    f"bad {NODE_BUDGET_ENV} value {env!r}; expected an integer"
-                ) from None
     instance = build_instance(
         seq,
         args.k,
@@ -201,7 +188,7 @@ def cmd_tile(args: argparse.Namespace) -> tuple:
         "candidate_blocks": len(instance.blocks),
     }
     result = count_partitions(
-        instance, cap=args.cap if args.count else 1, jobs=args.jobs, node_budget=node_budget
+        instance, cap=args.cap if args.count else 1, jobs=args.jobs, node_budget=args.node_budget
     )
     count_line = ()
     if args.count:
@@ -303,12 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--universe-budget", type=int, default=None)
     p.add_argument("--block-budget", type=int, default=None)
-    p.add_argument(
-        "--node-budget",
-        type=int,
-        default=None,
-        help=f"search node budget (default from ${NODE_BUDGET_ENV})",
-    )
+    p.add_argument("--node-budget", type=int, default=None, help="search node budget")
     p.set_defaults(func="cmd_tile")
 
     p = sub.add_parser("bell-classic", parents=[fmt], help="classical Bell numbers")

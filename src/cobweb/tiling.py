@@ -10,61 +10,63 @@ subset per level k+1..n whose sizes are a permutation of
 m_F! chains, and a partition of the universe into blocks is an exact
 cover.
 
-The search is an iterative Algorithm X.  Blocks of different roots
-(vertices of level k) never share a chain, so its sets of blocks are
-per root: int bitsets over the root's blocks in ascending index, one
-per chain for the blocks through it and one per root for the live
-blocks.  It also keeps the number of live blocks through each chain.
-Selecting a block kills the live blocks of its root that meet it, the
-root's live set ANDed with the OR of the block's chain bitsets.  If the
-killed blocks hold many chains for the root's size, the root's live
-counts are recounted by popcounts; otherwise the counts of the killed
-blocks' chains are decremented (the rule is in _ExactCover).  A trail
-undoes either when the search backtracks.  Each node branches on the
-uncovered chain with the fewest live blocks, the lowest chain index
-winning ties, and tries its blocks in ascending index.  The
-search runs on an explicit stack, so its depth (blocks per partition)
-is bounded by memory, not by the interpreter's recursion limit.  One
-search answers every query: it counts covers up to an optional cap and
-keeps the first one as the witness, and existence is a count capped at
-one.  Budgets turn oversized work into an explicit "inconclusive"
-outcome instead of an open-ended run.
+The search is an iterative Algorithm X over one root (vertex of level
+k).  Every block hangs from one root, so blocks of different roots never
+share a chain, and the covers of the universe are the products of one
+cover per root: the count of any block set is the product of its roots'
+counts.  Within a root, chains and blocks are numbered from 0 in
+ascending index, and its sets of blocks are int bitsets over them: one
+per chain for the blocks through it and one for the live blocks.  It
+also keeps the number of live blocks through each chain.  Selecting a
+block kills the live blocks that meet it, the live set ANDed with the
+OR of the block's chain bitsets.  If the killed blocks hold many chains
+for the root's size, the live counts are recounted by popcounts;
+otherwise the counts of the killed blocks' chains are decremented (the
+rule is in _ExactCover).  A trail undoes either when the search
+backtracks.  Each node branches on the uncovered chain with the fewest
+live blocks, the lowest chain index winning ties, and tries its blocks
+in ascending index.  The search runs on an explicit stack, so its depth
+(blocks per partition) is bounded by memory, not by the interpreter's
+recursion limit.  One search answers every query: it counts covers up
+to an optional cap and keeps the first one as the witness, and
+existence is a count capped at one.  Budgets turn oversized work into an
+explicit "inconclusive" outcome instead of an open-ended run.
 
 Tables come from level subsets, not chain lists.  With a_i the size of
 level k + i, s_i = a_1 + ... + a_(i-1) and P_i = sum(a) + bitlen(a_(i+1))
 + ... + bitlen(a_m), blocks S_1..S_m of a root sort by chain tuple as by
 the key sum_i (S_i[0] << P_i) + (sum of 2**(a_i - j) over j not in S_i)
-<< s_i.  A chain's bitset is AND_i V[i][j_i], V[i][j] a key bit column.
-A built instance keeps root 1's keys; Blocks and chains are made lazily.
+<< s_i.  A chain's bitset is AND_i V[i][j_i], V[i][j] a key bit column,
+and a block's chains are read off its key when the search first touches
+it.  A built instance keeps root 1's keys, and its Blocks are made lazily.
 
-An instance made by build_instance is marked symmetric: its blocks are
-every product block of its sigma policy, a set closed under the
-permutations of each level.  The search then factors out the roots.
-Blocks of different roots never share a chain, and root r + 1's blocks
-are root 1's with every chain offset by r times the chains per root, so
-it searches root 1 alone.  The count is c ** F_k for root 1's count c,
-a lower bound L of c bounds it by L ** F_k, and the witness is root 1's
-cover repeated by offset over every root.  Within root 1 every chain
-lies in equally many blocks, so the root pivot is chain 0, and the
-permutations that fix chain 0 map a block through it onto each of the
-prod C(a_i - 1, t_i - 1) blocks through it with the same size tuple t,
-a_i being the size of level k + i.  Only the lowest block of each t is
-searched, its count weighted by that number, and on the node budget
-share of one plain root branch.  Copies made by dataclasses.replace or
-instance_from_json are not marked: their blocks may be any set, and the
-plain search walks every root and every root branch.
+The block type chooses how the roots are searched.  A built instance's
+blocks (_LazyBlocks) are every product block of its sigma policy, a set
+closed under the permutations of each level, so root r + 1's blocks are
+root 1's with every chain offset by r times the chains per root.  Root 1
+alone is searched: the count is c ** F_k for root 1's count c, a lower
+bound L of c bounds it by L ** F_k, and the witness is root 1's cover
+repeated by offset over every root.  Within root 1 every chain lies in
+equally many blocks, so the root pivot is chain 0, and the permutations
+that fix chain 0 map a block through it onto each of the
+prod C(a_i - 1, t_i - 1) blocks through it with the same size tuple t.
+Only the lowest block of each t is searched, its count weighted by that
+number.  Tuple blocks (instance_from_json, or dataclasses.replace with
+new blocks) may be any set: each root is searched in turn and the
+counts multiply, and the search stops at the first root without a cover.
 
 The subtree below a node depends only on the set of covered chains:
 the live blocks are those disjoint from it and the pivot rule is
 fixed.  Each finished subtree is therefore memoised under that set, an
-int bitmask over chain indices, with its node and cover counts.  An
+int bitmask over the root's chains, with its node and cover counts.  An
 option that reaches a memoised set adds those counts instead of
 walking the subtree again, whenever the walk would stay inside the
 node budget, stay below the cap and leave the witness as it is.  The
 walk would then add exactly those counts, so every result, node count
-included, is the one of the search without the memo.  The memo takes
-entries only while they fit a fixed byte bound (_MEMO_BYTES); past it
-the search stays exact and stops memoising.
+included, is the one of the search without the memo.  A root's memo
+takes entries only while they fit a fixed byte bound (_MEMO_BYTES); past
+it the search stays exact and stops memoising.  It is dropped once the
+root is done.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ import math
 import operator
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .poset import product_past
@@ -90,9 +92,9 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 SIGMA_POLICIES = ("identity", "all")
 
-# At most this many bytes, counted per entry as a universe-wide key plus
-# _MEMO_ENTRY_BYTES of dict slot, key header and value, go to the
-# search's subtree memo; past that the search stops memoising.
+# At most this many bytes, counted per entry as a key over one root's
+# chains plus _MEMO_ENTRY_BYTES of dict slot, key header and value, go to
+# a root's subtree memo; past that the search stops memoising.
 _MEMO_BYTES = 1 << 23
 _MEMO_ENTRY_BYTES = 200
 
@@ -132,9 +134,6 @@ class TilingInstance:
     block_size: int  # m_F!: chains per block
     chains: tuple[tuple[int, ...], ...]  # per-level j indices, levels k..n
     blocks: Sequence[Block]  # a tuple, or _LazyBlocks from build_instance
-    # Set by build_instance alone, never inferred from the blocks, so that
-    # copies (dataclasses.replace, instance_from_json) take the plain search.
-    symmetric: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def universe_size(self) -> int:
@@ -184,7 +183,7 @@ def build_instance(
     Each distinct size tuple is listed once and a key determines its
     subsets, so no two blocks are equal.  Sorting root 1's keys sorts its
     blocks by chain tuple, fixing the search order; the other roots
-    repeat them.  The instance is marked symmetric (see the module docstring).
+    repeat them (see the module docstring).
     """
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
@@ -234,7 +233,7 @@ def build_instance(
         keys += map(sum, itertools.product(*pools))
     keys.sort()
 
-    instance = TilingInstance(
+    return TilingInstance(
         sequence_spec=seq.name,
         k=k,
         n=n,
@@ -244,8 +243,6 @@ def build_instance(
         chains=tuple(itertools.product(*(range(1, s + 1) for s in sizes))),
         blocks=_LazyBlocks(sizes, keys),
     )
-    object.__setattr__(instance, "symmetric", True)
-    return instance
 
 
 def _distinct_permutations(items):
@@ -290,6 +287,18 @@ def _term(field: tuple[int, int, int], subset: tuple[int, ...]) -> int:
     return (subset[0] << first) + (((1 << a) - 1 - sum(1 << (a - j) for j in subset)) << low)
 
 
+def _subsets(key: int, fields: list[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The level subsets of a block, read off its key."""
+    subsets = []
+    for a, _, low in fields:
+        held, subset = ~key >> low & ((1 << a) - 1), []
+        while held:
+            subset.append(a + 1 - held.bit_length())
+            held ^= 1 << (a - subset[-1])
+        subsets.append(tuple(subset))
+    return tuple(subsets)
+
+
 class _LazyBlocks(Sequence):
     """A built instance's blocks over root 1's sorted keys, equal to the tuple of its Blocks."""
 
@@ -302,18 +311,9 @@ class _LazyBlocks(Sequence):
 
     def __getitem__(self, b):
         b = range(len(self))[b]  # negative indices and IndexError as a tuple has them
-        s, root = self.subsets(b), b // len(self.keys) + 1
-        return Block(root, tuple(map(len, s)), s, _members(self.level_sizes, root, s))
-
-    def subsets(self, b: int) -> tuple[tuple[int, ...], ...]:
-        key, subsets = self.keys[b % len(self.keys)], []
-        for a, _, low in self.fields:
-            held, subset = ~key >> low & ((1 << a) - 1), []
-            while held:
-                subset.append(a + 1 - held.bit_length())
-                held ^= 1 << (a - subset[-1])
-            subsets.append(tuple(subset))
-        return tuple(subsets)
+        root, q = divmod(b, len(self.keys))
+        s = _subsets(self.keys[q], self.fields)
+        return Block(root + 1, tuple(map(len, s)), s, _members(self.level_sizes, root + 1, s))
 
     def __eq__(self, other):
         return tuple(self) == other if isinstance(other, (tuple, _LazyBlocks)) else NotImplemented
@@ -323,14 +323,14 @@ class _LazyBlocks(Sequence):
 
 
 class _Chains(dict):
-    """Block index -> chain indices of a _LazyBlocks block, made on first use."""
+    """Block number -> chain numbers within one root, made from its key on first use."""
 
-    def __init__(self, blocks: _LazyBlocks):
-        self.blocks = blocks
+    def __init__(self, level_sizes: tuple[int, ...], keys: list[int]):
+        self.level_sizes, self.block_keys = level_sizes, keys
+        self.fields = _key_fields(level_sizes[1:])
 
-    def __missing__(self, b: int) -> tuple[int, ...]:
-        root, subsets = b // len(self.blocks.keys) + 1, self.blocks.subsets(b)
-        self[b] = chains = _members(self.blocks.level_sizes, root, subsets)
+    def __missing__(self, q: int) -> tuple[int, ...]:
+        self[q] = chains = _members(self.level_sizes, 1, _subsets(self.block_keys[q], self.fields))
         return chains
 
 
@@ -348,66 +348,65 @@ def _chain_bits(keys: list[int], fields: list[tuple[int, int, int]]) -> list[int
 
 # --- exact cover search ------------------------------------------------------
 
+def _roots(instance: TilingInstance) -> list[tuple[Sequence[int], list[int]]]:
+    """The roots to search, each as its blocks' indices, ascending, and their keys.
+
+    A built instance's root 1 stands for every root (see the module
+    docstring); tuple blocks are grouped by their roots.
+    """
+    blocks = instance.blocks
+    if isinstance(blocks, _LazyBlocks):
+        return [(range(len(blocks.keys)), blocks.keys)]
+    fields = _key_fields(instance.level_sizes[1:])
+    roots: list[tuple[list[int], list[int]]] = [([], []) for _ in range(instance.level_sizes[0])]
+    for b, block in enumerate(blocks):
+        indices, keys = roots[block.root - 1]
+        indices.append(b)
+        keys.append(sum(map(_term, fields, block.level_subsets)))
+    return roots
+
+
 class _ExactCover:
-    """The search tables of one instance, built once and shared by every branch.
+    """The search tables of one root, built once and shared by its branches.
 
-    A live block is one disjoint from the partial cover.  Blocks of
-    different roots never share a chain, and the chains of root r are
-    the run ``r * span .. (r + 1) * span - 1`` of the universe.  So each
-    root lists its blocks in ascending index, a block's local rank being
-    its place there, which keeps local and global order alike, and each
-    chain has an int bitset over the local ranks of its root's blocks.
-    ``alive`` holds one such bitset per root, and ``live`` the number of
-    live blocks through each chain.
+    The root's blocks have the given keys, and a block's number is its
+    place among them; its chains are numbered from 0 in index order.
+    Each chain has an int bitset over the blocks through it.  A live
+    block is one disjoint from the partial cover: ``alive`` is their
+    bitset, and ``live`` the number of live blocks through each chain.
 
-    Selecting block b of root r kills ``alive[r] & conflict``, where the
-    conflict is the OR of the bitsets of b's chains, b included.  If the
-    killed blocks number more than ``most_killed``, the root's slice of
-    ``live`` is recounted, one popcount per chain, and the old slice
-    goes on the trail; otherwise the chains of the killed blocks are
-    decremented, and incremented again on backtracking.  A covered
-    chain's count is offset by ``covered``, a power of two above every
-    live count, so one ``min`` finds both the pivot and a complete
-    cover, and a recount keeps the offsets as ``covered & count``.
+    Selecting block b kills ``alive & conflict``, where the conflict is
+    the OR of the bitsets of b's chains, b included.  If the killed
+    blocks number more than ``most_killed``, ``live`` is recounted, one
+    popcount per chain, and the old list goes on the trail; otherwise
+    the chains of the killed blocks are decremented, and incremented
+    again on backtracking.  A covered chain's count is offset by
+    ``covered``, a power of two above every live count, so one ``min``
+    finds both the pivot and a complete cover, and a recount keeps the
+    offsets as ``covered & count``.
 
     Finished subtrees go to a memo shared by every branch, keyed by
-    their covered-chain bitmask (see the module docstring).  The tables
-    of a symmetric instance hold root 1's chains and blocks alone.
+    their covered-chain bitmask (see the module docstring).
     """
 
-    def __init__(self, instance: TilingInstance):
-        roots = instance.level_sizes[0]
-        self.span = span = len(instance.chains) // roots  # chains per root
-        blocks = instance.blocks
-        fields = _key_fields(instance.level_sizes[1:])
-        if isinstance(blocks, _LazyBlocks):  # root 1's keys serve every root; symmetric: root 1
-            roots, width = (1 if instance.symmetric else roots), len(blocks.keys)
-            self.root_blocks = [list(range(r * width, (r + 1) * width)) for r in range(roots)]
-            root_keys, self.block_chains = [blocks.keys] * roots, _Chains(blocks)
-        else:
-            self.block_chains = [block.chains for block in blocks]
-            self.root_blocks, root_keys = [[] for _ in range(roots)], [[] for _ in range(roots)]
-            for b, block in enumerate(blocks):
-                self.root_blocks[block.root - 1].append(b)
-                root_keys[block.root - 1].append(sum(map(_term, fields, block.level_subsets)))
-        # A select that kills more blocks than this recounts its root's live
+    def __init__(self, instance: TilingInstance, keys: list[int]):
+        self.block_chains = _Chains(instance.level_sizes, keys)
+        self.bits = _chain_bits(keys, self.block_chains.fields)
+        self.counts = list(map(int.bit_count, self.bits))
+        # A select that kills more blocks than this recounts the live
         # counts.  A recount takes an AND and a popcount per chain over the
         # root's blocks, about one decrement's time per 512 blocks (CPython
         # 3.11 on x86-64), so it pays once the killed blocks hold more chains
         # than the root has, times 1 + blocks // 512.
-        width = max(map(len, self.root_blocks))
-        self.most_killed = span * (1 + width // 512) // instance.block_size
-        self.bits = [c for keys in root_keys for c in _chain_bits(keys, fields)]
-        self.counts = list(map(int.bit_count, self.bits))
+        self.most_killed = len(self.bits) * (1 + len(keys) // 512) // instance.block_size
         # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
         self.memo: dict[int, tuple[int, int]] = {}
-        self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(self.counts) // 8)
+        self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(self.bits) // 8)
 
     def root_branches(self) -> tuple[int, ...]:
         """The blocks through the root pivot: the first chain of fewest blocks."""
-        p = self.counts.index(min(self.counts))
-        blocks = self.root_blocks[p // self.span]
-        return tuple(map(blocks.__getitem__, _ranks(self.bits[p], self.counts[p])))
+        low = min(self.counts)
+        return tuple(_ranks(self.bits[self.counts.index(low)], low))
 
     def search(
         self, first: int, budget: int, cap: int | None
@@ -416,8 +415,8 @@ class _ExactCover:
 
         A node is one visit to a partial cover.  Its pivot is the
         uncovered chain with the fewest live blocks, the lowest chain
-        index winning ties, and its options run in ascending block
-        index.  The witness is the first cover completed.  The search
+        number winning ties, and its options run in ascending block
+        number.  The witness is the first cover completed.  The search
         stops when it has visited ``budget`` nodes (exhausted), when
         ``count`` reaches ``cap``, or when the tree is done.
 
@@ -427,22 +426,19 @@ class _ExactCover:
         the result is then the one the walk would give.
         """
         block_chains = self.block_chains
-        root_blocks = self.root_blocks
         bits = self.bits
-        span = self.span
         most_killed = self.most_killed
         memo = self.memo
         memo_limit = self.memo_limit
-        covered = 1 << sum(map(len, root_blocks)).bit_length()
+        width = len(block_chains.block_keys)
+        covered = 1 << width.bit_length()
         live = list(self.counts)
-        alive = [(1 << len(bs)) - 1 for bs in root_blocks]
-        many = len(root_blocks) > 1  # then keep each root's least live count in ``lows``
-        lows = [min(live[r * span:(r + 1) * span]) for r in range(len(root_blocks))]
-        # Per selection: its root, the blocks it killed as a local bitset,
-        # the root's live slice before it if it was recounted, and the node
-        # count, cover count, covered-chain mask ``cov`` and root's least
-        # count before it.  ``after`` is the mask once the next selection is made.
-        trail: list[tuple[int, int, list[int] | None, int, int, int, int]] = []
+        alive = (1 << width) - 1
+        # Per selection: the blocks it killed as a bitset, the live counts
+        # before it if it recounted them, and the node count, cover count
+        # and covered-chain mask ``cov`` before it.  ``after`` is the mask
+        # once the next selection is made.
+        trail: list[tuple[int, list[int] | None, int, int, int]] = []
         chosen: list[int] = []
         frames = []  # per selection: an iterator over its node's untried options
         count = nodes = cov = 0
@@ -450,47 +446,38 @@ class _ExactCover:
         b = first
         after = sum(1 << c for c in block_chains[b])
         while True:
-            # Select b: kill every live block of its root that meets it, b included.
+            # Select b: kill every live block that meets it, b included.
             chains = block_chains[b]
-            r = chains[0] // span
             conflict = 0
             for c in chains:
                 conflict |= bits[c]
-            kill = alive[r] & conflict
-            alive[r] ^= kill
+            kill = alive & conflict
+            alive ^= kill
             killed = kill.bit_count()
-            lo = r * span
             if killed > most_killed:
-                # Recount the root's chains; the covered ones keep their offset.
-                saved = live[lo:lo + span]
-                live[lo:lo + span] = map(
+                # Recount every chain; the covered ones keep their offset.
+                saved, live = live, list(map(
                     operator.add,
-                    map(int.bit_count, map(alive[r].__and__, bits[lo:lo + span])),
-                    map(covered.__and__, saved),
-                )
+                    map(int.bit_count, map(alive.__and__, bits)),
+                    map(covered.__and__, live),
+                ))
             else:
                 saved = None
-                blocks = root_blocks[r]
                 for j in _ranks(kill, killed):
-                    for c in block_chains[blocks[j]]:
+                    for c in block_chains[j]:
                         live[c] -= 1
             for c in chains:
                 live[c] += covered
-            trail.append((r, kill, saved, nodes, count, cov, lows[r]))
+            trail.append((kill, saved, nodes, count, cov))
             cov = after
             chosen.append(b)
 
             nodes += 1
             if nodes > budget:
                 return count, witness, True, nodes
-            if many:  # the pivot lies in the first root that holds the least count
-                lows[r] = min(live[lo:lo + span])
-                r = lows.index(min(lows))
-            low = lows[r] if many else min(live)
+            low = min(live)
             if 0 < low < covered:
-                p = live.index(low, r * span)
-                options = _ranks(bits[p] & alive[r], low)
-                frames.append(map(root_blocks[r].__getitem__, options))
+                frames.append(iter(_ranks(bits[live.index(low)] & alive, low)))
             else:
                 if low:  # every chain is covered
                     count += 1
@@ -507,18 +494,17 @@ class _ExactCover:
                     frames.pop()
                     if not frames:  # the root branch is done; its selection stays
                         return count, witness, False, nodes
-                    r, kill, saved, nodes0, count0, cov0, lows[r] = trail.pop()  # r binds first
-                    alive[r] |= kill
+                    kill, saved, nodes0, count0, cov0 = trail.pop()
+                    alive |= kill
                     if saved is None:
-                        blocks = root_blocks[r]
                         for j in _ranks(kill, kill.bit_count()):
-                            for c in block_chains[blocks[j]]:
+                            for c in block_chains[j]:
                                 live[c] += 1
                         for c in block_chains[chosen.pop()]:
                             live[c] -= covered
                     else:
                         chosen.pop()
-                        live[r * span:(r + 1) * span] = saved
+                        live = saved
                     if len(memo) < memo_limit:
                         memo[cov] = (nodes - nodes0, count - count0)
                     cov = cov0
@@ -555,17 +541,17 @@ def _ranks(x: int, count: int) -> Iterable[int]:
     return map(operator.add, itertools.accumulate(map(len, runs)), range(len(runs) - 1))
 
 
-# A pool worker's copy of the search tables, installed once by _init_worker.
-_worker_cover: _ExactCover | None = None
+# A pool worker's copy of every root's search tables, installed once by _init_worker.
+_worker_covers: list[_ExactCover] | None = None
 
 
-def _init_worker(cover: _ExactCover) -> None:
-    global _worker_cover
-    _worker_cover = cover
+def _init_worker(covers: list[_ExactCover]) -> None:
+    global _worker_covers
+    _worker_covers = covers
 
 
-def _worker_search(*args) -> tuple[int, tuple[int, ...] | None, bool, int]:
-    return _worker_cover.search(*args)
+def _worker_search(root: int, *args) -> tuple[int, tuple[int, ...] | None, bool, int]:
+    return _worker_covers[root].search(*args)
 
 
 def _cpu_count() -> int:
@@ -584,21 +570,26 @@ def _solve(
 ) -> tuple[int, tuple[int, ...] | None, bool, int]:
     """Shared driver: returns (count, witness, any_exhausted, nodes).
 
-    The search always branches once at the root pivot and gives each
-    branch an equal share of the node budget.  A budget smaller than the
+    The roots of _roots are searched in order, and the count is the
+    product of their counts, each raised to the power of the roots it
+    stands for: F_k for a built instance's root 1, else 1.  Each root
+    branches once at its root pivot, and every branch of every root
+    gets an equal share of the node budget.  A budget smaller than the
     number of root branches gives no branch a node, so the search stops
-    at the root, exhausted.  A symmetric instance searches one root and
-    one branch per orbit, each weighted by its orbit's size, and raises
-    the weighted sum to the power F_k (see the module docstring); any
-    other is the case of weights 1 and power 1.
+    at the root, exhausted, and a root without branches has no cover.
+    A built instance searches one branch per orbit, each weighted by its
+    orbit's size (see the module docstring); tuple blocks have weights 1.
 
-    Branches run in order and stop once the weighted count reaches the
-    target, the least root count whose power reaches the cap; each
-    branch is capped at the target over its weight.  The witness is the
-    first cover of the first branch that has one.  Parallel runs consume
-    the same outcomes in the same order, so serial and parallel runs
-    agree on every field.  Fork starts every pool worker at once, so
-    there are no more than the branches searched or the CPUs.
+    A root's branches run in order and stop once its weighted count
+    reaches its target, the least count whose power, times the product
+    so far, reaches the cap; each branch is capped at the target over its
+    weight.  The search stops at the first root whose count is 0.  The
+    witness is the roots' first covers in root order, a root's first
+    cover being that of its first branch that has one.  Parallel runs
+    map one root's branches at a time and consume the same outcomes in
+    the same order, so serial and parallel runs agree on every field.
+    Fork starts every pool worker at once, so there are no more than
+    the branches of a root searched or the CPUs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -607,50 +598,60 @@ def _solve(
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
 
-    cover = _ExactCover(instance)
-    branches = cover.root_branches()
-    if not branches:
+    roots = _roots(instance)
+    covers = [_ExactCover(instance, keys) for _, keys in roots]
+    branches = [cover.root_branches() for cover in covers]
+    if not all(branches):
         return 0, None, False, 1
-
-    per_branch = node_budget // len(branches)
+    per_branch = node_budget // sum(map(len, branches))
     if not per_branch:
         return 0, None, True, 1
-    if instance.symmetric:
-        branches, weights = _orbits(instance, branches)
-        copies = instance.level_sizes[0]
+    if isinstance(instance.blocks, _LazyBlocks):
+        branches[0], weights = _orbits(instance, branches[0])
+        weights, power = [weights], instance.level_sizes[0]
     else:
-        weights, copies = (1,) * len(branches), 1
-    target = None if cap is None else _least_root(cap, copies)
-    caps = [None if target is None else -(-target // w) for w in weights]
-    searches = (branches, itertools.repeat(per_branch), caps)
-    count, witness, exhausted, nodes = 0, None, False, 1
+        weights, power = [(1,) * len(bs) for bs in branches], 1
+    total, witness, exhausted, nodes = 1, (), False, 1
     pool = None
     try:
-        if jobs == 1:
-            results = map(cover.search, *searches)
-        else:
+        if jobs > 1:
             # Imported here, so that only a run that makes a pool loads
             # concurrent.futures and multiprocessing.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(
-                min(jobs, len(branches), _cpu_count()), initializer=_init_worker, initargs=(cover,)
+                min(jobs, max(map(len, branches)), _cpu_count()),
+                initializer=_init_worker,
+                initargs=(covers,),
             )
-            results = pool.map(_worker_search, *searches)
-        for weight, (b_count, b_witness, b_exhausted, b_nodes) in zip(weights, results):
-            count += weight * b_count
-            exhausted = exhausted or b_exhausted
-            nodes += b_nodes
-            witness = witness or b_witness
-            if target is not None and count >= target:
-                break
+        for r, (cover, (indices, _)) in enumerate(zip(covers, roots)):
+            target = None if cap is None else _least_root(-(-cap // total), power)
+            caps = [None if target is None else -(-target // w) for w in weights[r]]
+            searches = (branches[r], itertools.repeat(per_branch), caps)
+            if pool is None:
+                results = map(cover.search, *searches)
+            else:
+                results = pool.map(_worker_search, itertools.repeat(r), *searches)
+            count, first = 0, None
+            for weight, (b_count, b_witness, b_exhausted, b_nodes) in zip(weights[r], results):
+                count += weight * b_count
+                exhausted = exhausted or b_exhausted
+                nodes += b_nodes
+                first = first or b_witness
+                if target is not None and count >= target:
+                    break
+            cover.memo.clear()  # no later root reads it
+            if not count:
+                return 0, None, exhausted, nodes
+            total *= count**power
+            witness += tuple(map(indices.__getitem__, first))
     finally:
         if pool is not None:  # branches no worker has started are dropped
             pool.shutdown(cancel_futures=True)
-    if witness is not None:
-        width = len(cover.root_blocks[0])  # blocks per root
-        witness = tuple(r * width + b for r in range(copies) for b in witness)
-    return count**copies, witness, exhausted, nodes
+    # Root r + 1 of a built instance repeats root 1's cover, offset by r
+    # roots' blocks; tuple blocks have power 1 and keep their witness.
+    width = len(roots[0][0])
+    return total, tuple(r * width + b for r in range(power) for b in witness), exhausted, nodes
 
 
 def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -664,8 +665,9 @@ def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[
     any other, the blocks and the covers below them included.
     """
     lowest: dict[tuple[int, ...], int] = {}
+    keys, fields = instance.blocks.keys, instance.blocks.fields
     for b in branches:
-        lowest.setdefault(tuple(map(len, instance.blocks.subsets(b))), b)
+        lowest.setdefault(tuple(map(len, _subsets(keys[b], fields))), b)
     levels = instance.level_sizes[1:]
     weights = (math.prod(math.comb(a - 1, t - 1) for a, t in zip(levels, st)) for st in lowest)
     return tuple(lowest.values()), tuple(weights)

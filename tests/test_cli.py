@@ -375,17 +375,18 @@ def test_tile_incomplete_count_exit_3(capsys):
 
 
 def test_tile_count_replays_repeated_subtrees(capsys):
-    # Most of the plain search revisits covered-chain sets it has
-    # finished before; it took about 32 s when every visit was walked
-    # again.  The CLI searches one root of the two, one block per orbit
-    # at its root, so its lower bound is a square.
+    # Most of the search revisits covered-chain sets it has finished
+    # before; the search over both roots took about 32 s when every visit
+    # was walked again.  The CLI searches one root of the two, one block
+    # per orbit at its root, so its lower bound is a square.  A copy that
+    # keeps the built blocks takes the same search.
     start = time.perf_counter()
     code, out, err = run(capsys, "tile", "nat", "2", "5", "--count")
     assert (code, out, err) == (3, "yes\ncount: >=29010264976 (search incomplete)\n", "")
     assert time.perf_counter() - start < 5
     start = time.perf_counter()
     result = count_partitions(dataclasses.replace(build_instance(parse_sequence("nat"), 2, 5)))
-    assert (result.status, result.count) == ("inconclusive", 183023)
+    assert (result.status, result.count) == ("inconclusive", 170324**2)
     assert time.perf_counter() - start < 5
 
 
@@ -422,24 +423,6 @@ def test_tile_budget_error_exit_3(capsys):
     code, _, err = run(capsys, "tile", "gauss:2", "0", "9")
     assert code == 3
     assert "inconclusive" in err
-
-
-def test_tile_node_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("COBWEB_NODE_BUDGET", "1")
-    code, out, _ = run(capsys, "tile", "fib", "1", "4")
-    assert code == 3
-    assert out.splitlines()[0] == "inconclusive"
-    monkeypatch.setenv("COBWEB_NODE_BUDGET", "junk")
-    code, _, err = run(capsys, "tile", "fib", "1", "4")
-    assert code == 2
-    assert "COBWEB_NODE_BUDGET" in err
-
-
-def test_tile_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("COBWEB_NODE_BUDGET", "1")
-    code, out, _ = run(capsys, "tile", "fib", "1", "4", "--node-budget", "100000")
-    assert code == 0
-    assert out == "yes\n"
 
 
 def test_bell_classic(capsys):

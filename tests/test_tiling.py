@@ -47,9 +47,14 @@ def load_fixture(name: str) -> dict:
 
 
 def plain(inst):
-    """An equal copy that is not marked symmetric: the search takes it as
-    any set of blocks, every root and every root branch walked."""
-    return dataclasses.replace(inst)
+    """An equal copy with tuple blocks: the search takes it as any set of
+    blocks, every root and every root branch walked."""
+    return dataclasses.replace(inst, blocks=tuple(inst.blocks))
+
+
+def root_tables(inst):
+    """The search tables of every root that inst's search walks."""
+    return [tiling._ExactCover(inst, keys) for _, keys in tiling._roots(inst)]
 
 
 def test_universe_and_block_shape():
@@ -205,25 +210,26 @@ def test_jobs_pool_is_capped_at_the_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(tiling, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(tiling, "_worker_cover", None)
+    monkeypatch.setattr(tiling, "_worker_covers", None)
     inst = build_instance(parse_sequence("nat"), 1, 4)  # 13 root branches
     assert count_partitions(inst, jobs=50) == count_partitions(inst)
     assert workers == [2]
 
 
 def test_pinned_search_trees():
-    """The plain search visits the same nodes in the same order as it always has.
+    """The plain search visits the same nodes in the same order as
+    reference_search, which gave these pins.
 
     A count's witness is its first partition, the one existence finds.
     """
     nat = parse_sequence("nat")
     inst = plain(build_instance(nat, 2, 4))
     witness = exists_partition(inst).witness
-    assert count_partitions(inst) == TilingCountResult("exact", 17424, 55728, witness)
+    assert count_partitions(inst) == TilingCountResult("exact", 17424, 839, witness)
     inst = plain(build_instance(nat, 2, 5))
     witness = exists_partition(inst, node_budget=20000).witness
     budgeted = count_partitions(inst, node_budget=20000)
-    assert budgeted == TilingCountResult("inconclusive", 2915, 20021, witness)
+    assert budgeted == TilingCountResult("inconclusive", 1436**2, 20021, witness)
     search = exists_partition(plain(build_instance(parse_sequence("gauss:2"), 2, 4)))
     assert (search.status, search.nodes) == ("yes", 106)
     # Two trees whose selects kill most of the blocks of their root.
@@ -240,11 +246,11 @@ def test_memo_bound_keeps_the_tree(monkeypatch, memo_bytes):
     monkeypatch.setattr(tiling, "_MEMO_BYTES", memo_bytes)
     inst = plain(build_instance(parse_sequence("nat"), 2, 4))
     witness = exists_partition(inst).witness
-    assert count_partitions(inst) == TilingCountResult("exact", 17424, 55728, witness)
-    cover = tiling._ExactCover(inst)
-    for b in cover.root_branches():
-        cover.search(b, 10**6, None)
-    assert len(cover.memo) == cover.memo_limit == memo_bytes // (tiling._MEMO_ENTRY_BYTES + 3)
+    assert count_partitions(inst) == TilingCountResult("exact", 17424, 839, witness)
+    for cover in root_tables(inst):  # two roots of 12 chains
+        for b in cover.root_branches():
+            cover.search(b, 10**6, None)
+        assert len(cover.memo) == cover.memo_limit == memo_bytes // (tiling._MEMO_ENTRY_BYTES + 1)
 
 
 @pytest.mark.parametrize("spec, k, n", [("nat", 2, 4), ("nat", 1, 4), ("fib", 1, 5)])
@@ -253,10 +259,11 @@ def test_shared_memo_keeps_each_branch_result(spec, k, n):
     # the full universe among them; each branch still reports its own
     # first cover as its witness.
     inst = build_instance(parse_sequence(spec), k, n)
-    shared = tiling._ExactCover(inst)
+    shared = tiling._ExactCover(inst, inst.blocks.keys)
     for cap in (None, 3):
         for b in shared.root_branches():
-            assert shared.search(b, 10**6, cap) == tiling._ExactCover(inst).search(b, 10**6, cap)
+            fresh = tiling._ExactCover(inst, inst.blocks.keys)
+            assert shared.search(b, 10**6, cap) == fresh.search(b, 10**6, cap)
 
 
 def test_search_tables_are_per_root():
@@ -267,28 +274,34 @@ def test_search_tables_are_per_root():
     instance's tables hold root 1 alone.
     """
     inst = build_instance(parse_sequence("nat"), 200, 201)
+    copy = plain(inst)
     tracemalloc.start()
     try:
-        tiling._ExactCover(plain(inst))
+        root_tables(copy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
-    cover = tiling._ExactCover(inst)
-    assert (len(cover.root_blocks), len(cover.root_blocks[0]), len(cover.counts)) == (1, 201, 201)
+    (cover,) = root_tables(inst)
+    assert (len(cover.block_chains.block_keys), len(cover.counts)) == (201, 201)
 
 
 def test_build_and_tables_memory_bound():
     """gauss:2 3 5 has 7 roots of 81530 blocks.  Root 1's sorted keys and
-    its chain bitsets peak near 27 MB under tracemalloc, where one Block
-    and one chain tuple per block of every root took 168 MB."""
+    its chain bitsets peak near 17 MB under tracemalloc, where one Block
+    and one chain tuple per block of every root took 168 MB.  The tables
+    keep about 2.8 MB: a bitset per chain, and no int per block."""
     tracemalloc.start()
     try:
-        tiling._ExactCover(build_instance(parse_sequence("gauss:2"), 3, 5))
-        peak = tracemalloc.get_traced_memory()[1]
+        inst = build_instance(parse_sequence("gauss:2"), 3, 5)
+        built = tracemalloc.get_traced_memory()[0]
+        cover = tiling._ExactCover(inst, inst.blocks.keys)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 40_000_000
+    assert retained - built < 4 * 2**20
+    assert len(cover.counts) == 15 * 31  # levels 4 and 5 above a root
 
 
 # --- block order and tables against the oracle --------------------------------
@@ -298,6 +311,11 @@ def oracle_blocks(inst, roots):
     base = parse_sequence(inst.sequence_spec).values(inst.n - inst.k)[1:]
     levels = (roots,) + inst.level_sizes[1:]
     return oracles.product_blocks(levels, oracles.size_tuples(base, inst.sigma_policy))
+
+
+def table_bits(inst):
+    """Every root's chain bitsets, root by root."""
+    return [c for cover in root_tables(inst) for c in cover.bits]
 
 
 def test_block_order_and_tables_match_the_oracle():
@@ -322,8 +340,10 @@ def test_block_order_and_tables_match_the_oracle():
                     assert [(b.root, b.level_subsets, b.chains) for b in inst.blocks] == expected
                     bits = oracles.chain_bitsets(inst.level_sizes, [(r, c) for r, _, c in expected])
                     span = inst.universe_size // inst.level_sizes[0]
-                    assert tiling._ExactCover(inst).bits == [bits[c] for c in range(span)]
-                    assert tiling._ExactCover(plain(inst)).bits == list(bits.values())
+                    assert tiling._ExactCover(inst, inst.blocks.keys).bits == [
+                        bits[c] for c in range(span)
+                    ]
+                    assert table_bits(plain(inst)) == list(bits.values())
     assert compared == 250
 
 
@@ -342,7 +362,7 @@ def test_large_block_order_and_tables_match_the_oracle(spec, k, n):
     root_1 = [(1, chains) for _, _, chains in expected]
     bits = oracles.chain_bitsets((1,) + inst.level_sizes[1:], root_1, wanted)
     del expected, root_1  # not held with the tables, to keep the peak down
-    cover_bits = tiling._ExactCover(inst).bits
+    cover_bits = tiling._ExactCover(inst, inst.blocks.keys).bits
     assert {c: cover_bits[c] for c in wanted} == bits
 
 
@@ -360,7 +380,7 @@ def test_tables_of_loaded_blocks_out_of_root_order():
         bits = oracles.chain_bitsets(
             inst.level_sizes, [(b["root"], b["chains"]) for b in doc["blocks"]]
         )
-        assert tiling._ExactCover(loaded).bits == list(bits.values())
+        assert table_bits(loaded) == list(bits.values())
         compared += 1
     assert compared > 50
 
@@ -385,20 +405,18 @@ def test_lazy_blocks_behave_as_their_tuple():
     assert inst == copy and copy == inst
     assert hash(blocks) == hash(eager) and hash(inst) == hash(copy)
 
-    replaced = dataclasses.replace(inst)
-    assert replaced.blocks is blocks and not replaced.symmetric
-    assert count_partitions(replaced) == count_partitions(copy) == TilingCountResult(
-        "exact", 17424, 55728, exists_partition(copy).witness
+    assert count_partitions(copy) == TilingCountResult(
+        "exact", 17424, 839, exists_partition(copy).witness
     )
 
     again = pickle.loads(pickle.dumps(inst))
-    assert again == inst and again.symmetric
+    assert again == inst and isinstance(again.blocks, tiling._LazyBlocks)
     assert count_partitions(again) == count_partitions(inst)
-    cover = tiling._ExactCover(inst)
+    cover = tiling._ExactCover(inst, blocks.keys)
     first, *rest = cover.root_branches()
     cover.search(first, 10**6, None)  # fills some chains and the memo
     cover = pickle.loads(pickle.dumps(cover))
-    fresh = tiling._ExactCover(inst)
+    fresh = tiling._ExactCover(inst, blocks.keys)
     fresh.search(first, 10**6, None)
     for b in rest:
         assert cover.search(b, 10**6, None) == fresh.search(b, 10**6, None)
@@ -419,27 +437,28 @@ def built_grid(max_blocks):
                         pass
 
 
-def test_only_built_instances_are_symmetric():
-    """Copies are equal to the built instance but not marked, so they take
-    the plain search, which is right for blocks that are not the full set."""
+def test_block_type_chooses_the_search():
+    """A copy that keeps the built instance's lazy blocks has the full block
+    set and takes the reduced search; tuple blocks, equal or not, take
+    the search of every root."""
     inst = build_instance(parse_sequence("nat"), 1, 4)
-    assert inst.symmetric
-    for copy in (dataclasses.replace(inst), instance_from_json(instance_to_json(inst))):
-        assert not copy.symmetric
-        assert copy == inst
+    replaced = dataclasses.replace(inst)
+    assert replaced.blocks is inst.blocks
+    assert count_partitions(replaced) == count_partitions(inst)
     dropped = dataclasses.replace(
         inst, blocks=tuple(b for i, b in enumerate(inst.blocks) if i not in (0, 21))
     )
-    assert not dropped.symmetric
-    for cap, node_budget in ((None, 10**6), (1, 10**6), (3, 50)):
-        assert_reference_results(dropped, cap, node_budget)
+    for copy in (instance_from_json(instance_to_json(inst)), dropped):
+        for cap, node_budget in ((None, 10**6), (1, 10**6), (3, 50)):
+            assert_reference_results(copy, cap, node_budget)
 
 
 def test_reduced_search_agrees_with_the_plain_one():
     """Wherever the plain search completes within 20000 nodes, so does the
-    reduced one, in no more nodes, with the same count and verdict.  With
-    one root it finds the same first partition; every witness it gives,
-    complete or not, is a partition."""
+    reduced one, in no more nodes, with the same count, verdict and first
+    partition; every witness it gives, complete or not, is a partition.
+    Each root of the plain copy walks root 1's tree offset by the root, so
+    root 1's first cover repeated over every root is the plain witness."""
     compared = 0
     for inst in built_grid(3000):
         for cap in (None, 1):
@@ -452,9 +471,8 @@ def test_reduced_search_agrees_with_the_plain_one():
             compared += 1
             assert (result.status, result.count) == (expected.status, expected.count)
             assert result.nodes <= expected.nodes
-            if inst.level_sizes[0] == 1:
-                assert result.witness == expected.witness
-    assert compared == 451
+            assert result.witness == expected.witness
+    assert compared == 454
 
 
 def test_orbit_sizes_at_the_root():
@@ -462,7 +480,7 @@ def test_orbit_sizes_at_the_root():
     prod C(a_i - 1, t_i - 1); the lowest of each is its representative,
     and the orbit sizes add up to the plain search's root branches."""
     for inst in built_grid(3000):
-        branches = tiling._ExactCover(plain(inst)).root_branches()
+        branches = tiling._ExactCover(inst, inst.blocks.keys).root_branches()
         assert all(inst.blocks[b].chains[0] == 0 for b in branches)  # the pivot is chain 0
         orbits = {}
         for b in branches:
@@ -576,90 +594,146 @@ def test_counts_match_brute_force(spec, k, n, sigma):
         inst = build_instance(parse_sequence(spec), k, n, sigma, universe_budget=24)
     except (TilingBudgetError, ValueError):
         assume(False)
-    expected = brute_force_count(inst)
-    result = count_partitions(inst)
-    assert (result.status, result.count) == ("exact", expected)
-    search = exists_partition(inst)
-    assert search.status == ("yes" if expected else "no")
-    if expected:
-        assert verify_partition(inst, search.witness)
+    copy = instance_from_json(instance_to_json(inst))
+    dropped = dataclasses.replace(
+        inst, blocks=tuple(b for i, b in enumerate(inst.blocks) if i % 5 != 2)
+    )
+    for case in (inst, copy, dropped):
+        expected = brute_force_count(case)
+        result = count_partitions(case)
+        assert (result.status, result.count) == ("exact", expected)
+        search = exists_partition(case)
+        assert search.status == ("yes" if expected else "no")
+        if expected:
+            assert verify_partition(case, search.witness)
+
+
+def test_a_root_without_a_cover_ends_the_search(monkeypatch):
+    """(nat, 2, 4) with root 1 keeping only its 12 blocks of sizes (2, 1):
+    each chain of root 1 is in some block, but the 3 vertices of level 3
+    do not split into pairs.  Existence says no after searching root 1
+    alone, and the count is an exact 0."""
+    inst = build_instance(parse_sequence("nat"), 2, 4)
+    inst = dataclasses.replace(
+        inst, blocks=tuple(b for b in inst.blocks if b.root == 2 or b.sizes == (2, 1))
+    )
+    searched = []
+    search = tiling._ExactCover.search
+
+    def recorded(cover, *args):
+        searched.append(cover)
+        return search(cover, *args)
+
+    monkeypatch.setattr(tiling._ExactCover, "search", recorded)
+    result = exists_partition(inst)
+    assert result.status == "no" and result.witness is None
+    assert len(set(map(id, searched))) == 1
+    assert len(searched[0].block_chains.block_keys) == 12
+    assert count_partitions(inst) == TilingCountResult("exact", 0, result.nodes, None)
+    assert brute_force_count(inst) == 0
+    assert_reference_results(inst, None, 10**6)
 
 
 def reference_search(inst, cap, node_budget):
     """The search without its subtree memo: (count, witness, exhausted, nodes).
 
-    Every node is walked: the same pivot rule, option order, root split
-    and per-branch node budget as count_partitions, which stops at the
-    root when the budget is smaller than the number of root branches.
+    Each root's blocks are walked alone, every node of them, with the
+    same pivot rule and option order as count_partitions.  Every branch
+    of every root gets an equal share of the node budget, and the search
+    stops at the root when the budget is smaller than the number of root
+    branches.  The roots run in order, each until its count reaches
+    ceil(cap / product so far), and their counts multiply; a root whose
+    count is 0 ends the search.
     """
-    block_chains = [block.chains for block in inst.blocks]
-    chain_blocks = [[] for _ in inst.chains]
-    for b, chains in enumerate(block_chains):
-        for c in chains:
-            chain_blocks[c].append(b)
-    counts = [len(bs) for bs in chain_blocks]
-    branches = chain_blocks[counts.index(min(counts))]
-    if not branches:
-        return 0, None, False, 1
-    budget = node_budget // len(branches)
+    span = inst.universe_size // inst.level_sizes[0]
+    roots = []
+    for r in range(inst.level_sizes[0]):
+        chain_blocks = {c: [] for c in range(r * span, (r + 1) * span)}
+        for b, block in enumerate(inst.blocks):
+            if block.root == r + 1:
+                for c in block.chains:
+                    chain_blocks[c].append(b)
+        fewest = min(chain_blocks.values(), key=len)  # the lowest chain of fewest blocks
+        if not fewest:
+            return 0, None, False, 1
+        roots.append((chain_blocks, fewest))
+    budget = node_budget // sum(len(fewest) for _, fewest in roots)
     if not budget:
         return 0, None, True, 1
-    total, first_witness, any_exhausted, total_nodes = 0, None, False, 1
-    for first in branches:
-        covered = len(block_chains) + 1
-        live = list(counts)
-        alive = [True] * len(block_chains)
-        trail, chosen, frames = [], [], []
-        count = nodes = 0
-        witness = None
-        exhausted = False
-        b = first
-        while True:
-            killed = [x for x in range(len(block_chains))
-                      if alive[x] and set(block_chains[x]) & set(block_chains[b])]
-            for x in killed:
-                alive[x] = False
+    total, witness, any_exhausted, total_nodes = 1, (), False, 1
+    for chain_blocks, branches in roots:
+        target = None if cap is None else -(-cap // total)
+        root_count, root_witness = 0, None
+        for first in branches:
+            count, first_witness, exhausted, nodes = reference_walk(
+                inst, chain_blocks, first, budget, target
+            )
+            root_count += count
+            root_witness = root_witness or first_witness
+            any_exhausted = any_exhausted or exhausted
+            total_nodes += nodes
+            if target is not None and root_count >= target:
+                break
+        if not root_count:
+            return 0, None, any_exhausted, total_nodes
+        total *= root_count
+        witness += root_witness
+    return total, witness, any_exhausted, total_nodes
+
+
+def reference_walk(inst, chain_blocks, first, budget, cap):
+    """One root branch of reference_search: (count, witness, exhausted, nodes).
+
+    chain_blocks maps each chain of the root to its blocks, ascending.
+    """
+    blocks = sorted({b for bs in chain_blocks.values() for b in bs})
+    block_chains = {b: set(inst.blocks[b].chains) for b in blocks}
+    covered = len(blocks) + 1
+    live = {c: len(bs) for c, bs in chain_blocks.items()}
+    alive = dict.fromkeys(blocks, True)
+    trail, chosen, frames = [], [], []
+    count = nodes = 0
+    witness = None
+    b = first
+    while True:
+        killed = [x for x in blocks if alive[x] and block_chains[x] & block_chains[b]]
+        for x in killed:
+            alive[x] = False
+            for c in block_chains[x]:
+                live[c] -= 1
+        for c in block_chains[b]:
+            live[c] += covered
+        trail.append(killed)
+        chosen.append(b)
+        nodes += 1
+        if nodes > budget:
+            return count, witness, True, nodes
+        low = min(live.values())
+        if 0 < low < covered:
+            pivot = next(c for c in live if live[c] == low)
+            options = iter([x for x in chain_blocks[pivot] if alive[x]])
+            frames.append(options)
+            b = next(options)
+            continue
+        if low:
+            count += 1
+            witness = witness or tuple(chosen)
+            if cap is not None and count >= cap:
+                break
+        while frames:
+            for x in trail.pop():
+                alive[x] = True
                 for c in block_chains[x]:
-                    live[c] -= 1
-            for c in block_chains[b]:
-                live[c] += covered
-            trail.append(killed)
-            chosen.append(b)
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
+                    live[c] += 1
+            for c in block_chains[chosen.pop()]:
+                live[c] -= covered
+            b = next(frames[-1], -1)
+            if b >= 0:
                 break
-            low = min(live)
-            if 0 < low < covered:
-                options = iter([x for x in chain_blocks[live.index(low)] if alive[x]])
-                frames.append(options)
-                b = next(options)
-                continue
-            if low:
-                count += 1
-                witness = witness or tuple(chosen)
-                if cap is not None and count >= cap:
-                    break
-            while frames:
-                for x in trail.pop():
-                    alive[x] = True
-                    for c in block_chains[x]:
-                        live[c] += 1
-                for c in block_chains[chosen.pop()]:
-                    live[c] -= covered
-                b = next(frames[-1], -1)
-                if b >= 0:
-                    break
-                frames.pop()
-            else:
-                break
-        total += count
-        first_witness = first_witness or witness
-        any_exhausted = any_exhausted or exhausted
-        total_nodes += nodes
-        if cap is not None and total >= cap:
+            frames.pop()
+        else:
             break
-    return total, first_witness, any_exhausted, total_nodes
+    return count, witness, False, nodes
 
 
 @settings(max_examples=40, deadline=None)
