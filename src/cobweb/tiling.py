@@ -19,18 +19,19 @@ ascending index, and its sets of blocks are int bitsets over them: one
 per chain for the blocks through it and one for the live blocks.  It
 also keeps the number of live blocks through each chain.  Selecting a
 block kills the live blocks that meet it, the live set ANDed with the
-OR of the block's chain bitsets.  If the killed blocks hold many chains
-for the root's size, the live counts are recounted by popcounts;
-otherwise the counts of the killed blocks' chains are decremented (the
-rule is in _ExactCover).  A trail undoes either when the search
-backtracks.  Each node branches on the uncovered chain with the fewest
-live blocks, the lowest chain index winning ties, and tries its blocks
-in ascending index.  The search runs on an explicit stack, so its depth
-(blocks per partition) is bounded by memory, not by the interpreter's
-recursion limit.  One search answers every query: it counts covers up
-to an optional cap and keeps the first one as the witness, and
-existence is a count capped at one.  Budgets turn oversized work into an
-explicit "inconclusive" outcome instead of an open-ended run.
+OR of the block's chain bitsets.  The live counts are then recounted
+by popcounts or decremented over the killed blocks' chains, whichever
+is charged less, a killed block whose chains were never read being
+charged their decoding from its key too (the rule is in _ExactCover).
+A trail undoes either when the search backtracks.  Each node branches
+on the uncovered chain with the fewest live blocks, the lowest chain
+index winning ties, and tries its blocks in ascending index.  The
+search runs on an explicit stack, so its depth (blocks per partition)
+is bounded by memory, not by the interpreter's recursion limit.  One
+search answers every query: it counts covers up to an optional cap and
+keeps the first one as the witness, and existence is a count capped at
+one.  Budgets turn oversized work into an explicit "inconclusive"
+outcome instead of an open-ended run.
 
 Tables come from level subsets, not chain lists.  With a_i the size of
 level k + i, s_i = a_1 + ... + a_(i-1) and P_i = sum(a) + bitlen(a_(i+1))
@@ -38,7 +39,8 @@ level k + i, s_i = a_1 + ... + a_(i-1) and P_i = sum(a) + bitlen(a_(i+1))
 the key sum_i (S_i[0] << P_i) + (sum of 2**(a_i - j) over j not in S_i)
 << s_i.  A chain's bitset is AND_i V[i][j_i], V[i][j] a key bit column,
 and a block's chains are read off its key when the search first touches
-it.  A built instance keeps root 1's keys, and its Blocks are made lazily.
+it; |S_i| is a_i less the popcount of the key's bits s_i..s_i + a_i - 1.
+A built instance keeps root 1's keys, and its Blocks are made lazily.
 
 The block type chooses how the roots are searched.  A built instance's
 blocks (_LazyBlocks) are every product block of its sigma policy, a set
@@ -97,6 +99,18 @@ SIGMA_POLICIES = ("identity", "all")
 # a root's subtree memo; past that the search stops memoising.
 _MEMO_BYTES = 1 << 23
 _MEMO_ENTRY_BYTES = 200
+
+# The charge of a block's first decode (_Chains.__missing__) in the
+# select rule's decrements (see _ExactCover), on top of one per chain.
+# A decode takes 2.7 us for a block of 3 chains, 7.2 us at 30 and 19.5 us
+# at 120 (CPython 3.11 on x86-64).  Against each root's recount, that is
+# 25 (nat 2 5) to 200 (gauss:2 1 4) decrements besides the chains, and
+# 130-155 for gauss:2 3 5, nat 1 6 and fib 1 6.
+_DECODE = 128
+
+# Keys written out in binary at a time by _chain_bits, so that its strings
+# take a few MB at most however many keys a root has.
+_CHUNK = 1 << 14
 
 
 class TilingBudgetError(RuntimeError):
@@ -328,20 +342,31 @@ class _Chains(dict):
     def __init__(self, level_sizes: tuple[int, ...], keys: list[int]):
         self.level_sizes, self.block_keys = level_sizes, keys
         self.fields = _key_fields(level_sizes[1:])
+        self.undecoded = (1 << len(keys)) - 1  # the blocks not yet made, as a bitset
 
     def __missing__(self, q: int) -> tuple[int, ...]:
         self[q] = chains = _members(self.level_sizes, 1, _subsets(self.block_keys[q], self.fields))
+        self.undecoded ^= 1 << q
         return chains
 
 
 def _chain_bits(keys: list[int], fields: list[tuple[int, int, int]]) -> list[int]:
-    """Each chain's bitset over one root's blocks, bit q for keys[q] (see the module docstring)."""
+    """Each chain's bitset over one root's blocks, bit q for keys[q] (see the module docstring).
+
+    Column p is bit p of every key.  The keys are written out in binary
+    _CHUNK at a time, and each chunk's columns, read backwards from its
+    last key, are shifted in at the chunk's first key.
+    """
     width = fields[0][1] + fields[0][0].bit_length()
-    text = "".join(map(format, keys, itertools.repeat(f"0{width}b")))
+    pattern = f"0{width}b"
+    columns = [0] * sum(a for a, _, _ in fields)
+    for first in range(0, len(keys), _CHUNK):
+        text = "".join(map(format, keys[first:first + _CHUNK], itertools.repeat(pattern)))
+        for p in range(len(columns)):
+            columns[p] |= int(text[len(text) - 1 - p::-width], 2) << first
     bits = [(1 << len(keys)) - 1]
     for a, _, low in fields:
-        ends = range(len(text) - low - a, len(text) - low)  # the last key's vertices 1..a
-        lacking = [int(text[c::-width] or "0", 2) for c in ends]
+        lacking = columns[low:low + a][::-1]  # vertices 1..a
         bits = [x & ~v for x in bits for v in lacking]
     return bits
 
@@ -376,14 +401,19 @@ class _ExactCover:
     bitset, and ``live`` the number of live blocks through each chain.
 
     Selecting block b kills ``alive & conflict``, where the conflict is
-    the OR of the bitsets of b's chains, b included.  If the killed
-    blocks number more than ``most_killed``, ``live`` is recounted, one
-    popcount per chain, and the old list goes on the trail; otherwise
-    the chains of the killed blocks are decremented, and incremented
-    again on backtracking.  A covered chain's count is offset by
-    ``covered``, a power of two above every live count, so one ``min``
-    finds both the pivot and a complete cover, and a recount keeps the
-    offsets as ``covered & count``.
+    the OR of the bitsets of b's chains, b included.  Then either
+    ``live`` is recounted, one popcount per chain, and the old list goes
+    on the trail, or the chains of the killed blocks are decremented,
+    and incremented again on backtracking.  Both leave the same list, and
+    the search takes the one charged less, the decrements including the
+    first decode of each killed block not decoded yet
+    (``block_chains.undecoded``).  So exists_partition decodes 38 of the
+    3710 blocks of gauss:2 2 4, where charging the decrements alone
+    decoded all of them, 8 of fib 1 6's (122) and 13 of gauss:3 1 3's
+    (225).  A covered chain's count is offset by ``covered``, a power of
+    two above every live count, so one ``min`` finds both the pivot and
+    a complete cover, and a recount keeps the offsets as
+    ``covered & count``.
 
     Finished subtrees go to a memo shared by every branch, keyed by
     their covered-chain bitmask (see the module docstring).
@@ -393,12 +423,14 @@ class _ExactCover:
         self.block_chains = _Chains(instance.level_sizes, keys)
         self.bits = _chain_bits(keys, self.block_chains.fields)
         self.counts = list(map(int.bit_count, self.bits))
-        # A select that kills more blocks than this recounts the live
-        # counts.  A recount takes an AND and a popcount per chain over the
-        # root's blocks, about one decrement's time per 512 blocks (CPython
-        # 3.11 on x86-64), so it pays once the killed blocks hold more chains
-        # than the root has, times 1 + blocks // 512.
-        self.most_killed = len(self.bits) * (1 + len(keys) // 512) // instance.block_size
+        # The charge of a recount, in decrements: it takes an AND and a
+        # popcount per chain over the root's blocks, about one decrement's
+        # time per 512 blocks (CPython 3.11 on x86-64).  A select recounts
+        # when its decrements cost more: one per chain of each killed block,
+        # and _DECODE plus one per chain more for a killed block that is
+        # decoded first.
+        self.recount = len(self.bits) * (1 + len(keys) // 512)
+        self.block_size = instance.block_size
         # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
         self.memo: dict[int, tuple[int, int]] = {}
         self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(self.bits) // 8)
@@ -427,7 +459,12 @@ class _ExactCover:
         """
         block_chains = self.block_chains
         bits = self.bits
-        most_killed = self.most_killed
+        recount = self.recount
+        block_size = self.block_size
+        most_killed = recount // block_size  # past it, recount with nothing to decode
+        decode = _DECODE + block_size
+        # Read again while not 0: a decoded block never becomes undecoded.
+        undecoded = block_chains.undecoded
         memo = self.memo
         memo_limit = self.memo_limit
         width = len(block_chains.block_keys)
@@ -454,7 +491,11 @@ class _ExactCover:
             kill = alive & conflict
             alive ^= kill
             killed = kill.bit_count()
-            if killed > most_killed:
+            if killed > most_killed or undecoded and (
+                killed * block_size
+                + (kill & (undecoded := block_chains.undecoded)).bit_count() * decode
+                > recount
+            ):
                 # Recount every chain; the covered ones keep their offset.
                 saved, live = live, list(map(
                     operator.add,
@@ -667,7 +708,8 @@ def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[
     lowest: dict[tuple[int, ...], int] = {}
     keys, fields = instance.blocks.keys, instance.blocks.fields
     for b in branches:
-        lowest.setdefault(tuple(map(len, _subsets(keys[b], fields))), b)
+        sizes = tuple(a - (keys[b] >> low & (1 << a) - 1).bit_count() for a, _, low in fields)
+        lowest.setdefault(sizes, b)
     levels = instance.level_sizes[1:]
     weights = (math.prod(math.comb(a - 1, t - 1) for a, t in zip(levels, st)) for st in lowest)
     return tuple(lowest.values()), tuple(weights)

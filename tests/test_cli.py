@@ -399,8 +399,9 @@ def test_tile_many_equal_level_sizes(capsys):
 
 @pytest.mark.parametrize("n", [41, 61])
 def test_tile_search_deeper_than_the_recursion_limit(capsys, n):
-    # Singleton blocks only: the search descends one level per chain,
-    # 1640 and 3660 levels, more than the interpreter's recursion limit.
+    # Singleton blocks only, 1640 and 3660 of them, more than the
+    # interpreter's recursion limit.  A built instance searches root 1
+    # alone, one level per chain: 41 and 61 levels deep.
     limit = sys.getrecursionlimit()
     code, out, err = run(capsys, "tile", "nat", str(n - 1), str(n))
     assert (code, out, err) == (0, "yes\n", "")
@@ -409,6 +410,17 @@ def test_tile_search_deeper_than_the_recursion_limit(capsys, n):
     doc = json.loads(out)
     assert doc["verdict"] == "yes"
     assert doc["universe"] == doc["candidate_blocks"] > limit
+    assert sys.getrecursionlimit() == limit
+
+
+def test_tile_one_root_deeper_than_the_recursion_limit(capsys):
+    # One root of 1500 singleton blocks: the search descends one level per
+    # chain, 1500 levels, more than the interpreter's recursion limit.
+    limit = sys.getrecursionlimit()
+    assert run(capsys, "tile", "list:[1,1500]", "1", "2") == (0, "yes\n", "")
+    inst = build_instance(parse_sequence("list:[1,1500]"), 1, 2)
+    assert inst.level_sizes == (1, 1500)
+    assert exists_partition(inst).nodes == 1 + 1500 > limit
     assert sys.getrecursionlimit() == limit
 
 

@@ -288,9 +288,10 @@ def test_search_tables_are_per_root():
 
 def test_build_and_tables_memory_bound():
     """gauss:2 3 5 has 7 roots of 81530 blocks.  Root 1's sorted keys and
-    its chain bitsets peak near 17 MB under tracemalloc, where one Block
-    and one chain tuple per block of every root took 168 MB.  The tables
-    keep about 2.8 MB: a bitset per chain, and no int per block."""
+    its chain bitsets peak at 7.7 MiB under tracemalloc, where one Block
+    and one chain tuple per block of every root took 168 MB, and the keys
+    written out in binary all at once 16.4 MiB.  The tables keep about
+    2.8 MiB: a bitset per chain, and no int per block."""
     tracemalloc.start()
     try:
         inst = build_instance(parse_sequence("gauss:2"), 3, 5)
@@ -299,9 +300,43 @@ def test_build_and_tables_memory_bound():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40_000_000
+    assert peak < 8 * 2**20
     assert retained - built < 4 * 2**20
     assert len(cover.counts) == 15 * 31  # levels 4 and 5 above a root
+
+
+@pytest.mark.parametrize(
+    "spec, k, n, most", [("gauss:2", 2, 4, 38), ("fib", 1, 6, 8), ("gauss:3", 1, 3, 13)]
+)
+def test_existence_decodes_few_blocks(monkeypatch, spec, k, n, most):
+    """A select that would decode many killed blocks only to decrement
+    their chains recounts instead.  Charged decrements alone, these
+    searches decoded 3710 (all of root 1), 122 and 225 blocks."""
+    decoded = []
+    missing = tiling._Chains.__missing__
+
+    def spy(chains, q):
+        decoded.append(q)
+        return missing(chains, q)
+
+    monkeypatch.setattr(tiling._Chains, "__missing__", spy)
+    inst = build_instance(parse_sequence(spec), k, n)
+    result = exists_partition(inst)
+    assert result.status == "yes" and verify_partition(inst, result.witness)
+    assert len(decoded) <= most
+
+
+@pytest.mark.parametrize("spec, k, n", [("gauss:2", 2, 4), ("nat", 1, 5), ("nat", 2, 5)])
+def test_undecoded_blocks_are_exact(spec, k, n):
+    """``undecoded`` holds exactly the blocks whose chains were never made,
+    whichever path made them."""
+    (cover,) = root_tables(build_instance(parse_sequence(spec), k, n))
+    chains = cover.block_chains
+    everything = (1 << len(chains.block_keys)) - 1
+    assert chains.undecoded == everything
+    cover.search(cover.root_branches()[0], 2000, None)
+    assert chains
+    assert chains.undecoded == everything - sum(1 << q for q in chains)
 
 
 # --- block order and tables against the oracle --------------------------------
