@@ -16,7 +16,7 @@ from .sequences import (
     is_gcd_morphic,
     parse_sequence,
 )
-from .fnomial import FNomialTable, NonIntegralError, fnomial_coefficient
+from .fnomial import NonIntegralError, fnomial_coefficient
 from .poset import (
     CobwebPoset,
     EnumerationBudgetError,
@@ -25,12 +25,8 @@ from .poset import (
 )
 from .layer_grid import (
     bell_like,
-    catalan,
     count_grid_max_chains,
-    count_grid_max_chains_bruteforce,
-    grid_elements,
     grid_size,
-    iter_grid_max_paths,
     whitney_first,
     whitney_second,
 )
@@ -62,7 +58,6 @@ __all__ = [
     "is_cobweb_admissible",
     "is_gcd_morphic",
     "parse_sequence",
-    "FNomialTable",
     "NonIntegralError",
     "fnomial_coefficient",
     "CobwebPoset",
@@ -70,12 +65,8 @@ __all__ = [
     "IncidenceMatrix",
     "DEFAULT_ENUMERATION_BUDGET",
     "bell_like",
-    "catalan",
     "count_grid_max_chains",
-    "count_grid_max_chains_bruteforce",
-    "grid_elements",
     "grid_size",
-    "iter_grid_max_paths",
     "whitney_first",
     "whitney_second",
     "bell_sequence",

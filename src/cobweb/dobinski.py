@@ -64,7 +64,7 @@ def bell_dobinski(n: int, rel_tol: float = 1e-9) -> float:
     """
     if not 0 <= n <= MAX_DOBINSKI_N:
         raise ValueError(f"need 0 <= n <= {MAX_DOBINSKI_N}, got {n}")
-    if rel_tol <= 0:
+    if not rel_tol > 0:  # NaN too
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     with localcontext() as ctx:
         ctx.prec = 60

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -57,48 +56,12 @@ def product_past(factors, bound: int) -> int:
     return product
 
 
-def _ilen(iterable) -> int:
-    """Length of an iterable, consumed at C speed."""
-    counter = itertools.count()
-    deque(zip(iterable, counter), maxlen=0)
-    return next(counter)
-
-
-# --- exact matrix helpers ---------------------------------------------------
-# Generic algebra, kept as the test oracle for CobwebPoset's closed forms.
-
-def identity_rows(n: int) -> list[list[int]]:
-    return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]] | tuple, b: list[list[int]] | tuple) -> list[list[int]]:
-    """Exact product of integer matrices, via row accumulation."""
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for k, c in enumerate(row):
-            if c:
-                bk = b[k]
-                if c == 1:
-                    acc = [x + y for x, y in zip(acc, bk)]
-                else:
-                    acc = [x + c * y for x, y in zip(acc, bk)]
-        out.append(acc)
-    return out
-
-
 @dataclass(frozen=True)
 class IncidenceMatrix:
     """A matrix over a fixed linear order of poset elements."""
 
     order: tuple[Vertex, ...]
     rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, u: Vertex, v: Vertex) -> int:
-        i = self.order.index(u)
-        j = self.order.index(v)
-        return self.rows[i][j]
 
     def dump(self) -> str:
         """Text form: a '# order:' header, then one row per line."""
@@ -128,39 +91,6 @@ class CobwebPoset:
             starts.append(starts[-1] + s)
         self._starts = tuple(starts)
         self.vertex_count = starts[-1]
-        self._vertices: tuple[Vertex, ...] | None = None
-
-    # --- structure ---------------------------------------------------------
-
-    def level_size(self, p: int) -> int:
-        self._check_level(p)
-        return self.level_sizes[p]
-
-    def level_vertices(self, p: int) -> tuple[Vertex, ...]:
-        self._check_level(p)
-        return tuple((j, p) for j in range(1, self.level_sizes[p] + 1))
-
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        """All vertices in level-major order."""
-        if self._vertices is None:
-            self._vertices = tuple(self._walk_vertices())
-        return self._vertices
-
-    def _walk_vertices(self) -> Iterator[Vertex]:
-        return ((j, p) for p, size in enumerate(self.level_sizes) for j in range(1, size + 1))
-
-    def _check_level(self, p: int) -> None:
-        if not 0 <= p <= self.max_level:
-            raise ValueError(f"level {p} outside 0..{self.max_level}")
-
-    def check_vertex(self, v: Vertex) -> None:
-        j, p = v
-        self._check_level(p)
-        if not 1 <= j <= self.level_sizes[p]:
-            raise ValueError(
-                f"vertex ({j},{p}) invalid: level {p} has {self.level_sizes[p]} vertices"
-            )
 
     # --- chain counting ------------------------------------------------------
 
@@ -173,23 +103,13 @@ class CobwebPoset:
         return math.prod(self.level_sizes[from_level:to_level + 1])
 
     def _check_span(self, from_level: int, to_level: int) -> None:
-        self._check_level(from_level)
-        self._check_level(to_level)
+        for p in (from_level, to_level):
+            if not 0 <= p <= self.max_level:
+                raise ValueError(f"level {p} outside 0..{self.max_level}")
         if from_level > to_level:
             raise ValueError(
                 f"need from_level <= to_level, got {from_level} > {to_level}"
             )
-
-    def _span_ranges(
-        self, from_level: int, to_level: int, budget: int | None
-    ) -> list[range]:
-        if budget is None:
-            budget = DEFAULT_ENUMERATION_BUDGET
-        self._check_span(from_level, to_level)
-        bound = product_past(self.level_sizes[from_level:to_level + 1], budget)
-        if bound > budget:
-            raise EnumerationBudgetError(bound, budget, at_least=True)
-        return [range(1, self.level_sizes[p] + 1) for p in range(from_level, to_level + 1)]
 
     def enumerate_max_chains(
         self, from_level: int, to_level: int, budget: int | None = None
@@ -199,21 +119,16 @@ class CobwebPoset:
         Chains come out in lexicographic order of vertex indices (a
         depth-first walk of the covering relation).
         """
-        ranges = self._span_ranges(from_level, to_level, budget)
+        if budget is None:
+            budget = DEFAULT_ENUMERATION_BUDGET
+        self._check_span(from_level, to_level)
+        sizes = self.level_sizes[from_level:to_level + 1]
+        bound = product_past(sizes, budget)
+        if bound > budget:
+            raise EnumerationBudgetError(bound, budget, at_least=True)
         levels = range(from_level, to_level + 1)
-        for js in itertools.product(*ranges):
+        for js in itertools.product(*(range(1, s + 1) for s in sizes)):
             yield tuple(zip(js, levels))
-
-    def count_max_chains_by_enumeration(
-        self, from_level: int, to_level: int, budget: int | None = None
-    ) -> int:
-        """Chain count obtained by exhaustive one-by-one enumeration.
-
-        Independent of count_max_chains, which multiplies the level
-        sizes: here every chain is generated and counted one at a time.
-        """
-        ranges = self._span_ranges(from_level, to_level, budget)
-        return _ilen(itertools.product(*ranges))
 
     def count_chains_of_length(self, t: int) -> int:
         """Strictly increasing chains with exactly t elements.
@@ -263,7 +178,8 @@ class CobwebPoset:
                 row = [0] * end + tail
                 row[i] = 1
                 rows.append(tuple(row))
-        return IncidenceMatrix(tuple(itertools.islice(self._walk_vertices(), size)), tuple(rows))
+        vertices = ((j, p) for p, a in enumerate(self.level_sizes) for j in range(1, a + 1))
+        return IncidenceMatrix(tuple(itertools.islice(vertices, size)), tuple(rows))
 
     def zeta_matrix(self, size: int | None = None) -> IncidenceMatrix:
         """The zeta matrix: entry (u, v) is 1 iff u <= v, level-major order.

@@ -21,10 +21,10 @@ class SequenceSpecError(ValueError):
 class AdmissibleSequence:
     """A sequence F with F_0 = 0 and F_n >= 1 for all n >= 1.
 
-    ``value(n)`` is a pure function of ``n``; results are cached, so a
-    sequence behaves as if fully precomputed regardless of call order.
-    Explicit-list sequences carry a finite ``length`` and reject indices
-    beyond it.
+    ``value(n)`` is a pure function of ``n``, evaluated on every call and
+    kept nowhere; a caller that needs a run of values reads it once as a
+    list from ``values``.  Explicit-list sequences carry a finite
+    ``length`` and reject indices beyond it.
     """
 
     def __init__(
@@ -38,7 +38,6 @@ class AdmissibleSequence:
         self.length = length
         self._fn = fn
         self._step = step  # F_n from (F_(n-2), F_(n-1)), for runs of values
-        self._cache: dict[int, int] = {0: 0}
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -47,10 +46,7 @@ class AdmissibleSequence:
             raise ValueError(
                 f"sequence {self.name!r} defines values for n <= {self.length}, got {n}"
             )
-        v = self._cache.get(n)
-        if v is None:
-            v = self._store(n, self._fn(n))
-        return v
+        return self._checked(n, self._fn(n)) if n else 0
 
     def values(self, upto: int) -> list[int]:
         """[F_0, F_1, ..., F_upto].
@@ -63,18 +59,14 @@ class AdmissibleSequence:
             return [self.value(n) for n in range(upto + 1)]
         out = [0, self.value(1)]
         for n in range(2, upto + 1):
-            v = self._cache.get(n)
-            if v is None:
-                v = self._store(n, self._step(out[-2], out[-1]))
-            out.append(v)
+            out.append(self._checked(n, self._step(out[-2], out[-1])))
         return out
 
-    def _store(self, n: int, v: int) -> int:
+    def _checked(self, n: int, v: int) -> int:
         if v < 1:
             raise ValueError(
                 f"sequence {self.name!r} has F_{n} = {v}; need F_n >= 1 for n >= 1"
             )
-        self._cache[n] = v
         return v
 
     def __repr__(self) -> str:
@@ -221,11 +213,13 @@ def gcd_morphism_failures(seq: AdmissibleSequence, bound: int) -> Iterator[tuple
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+    f = [0]
     for n in range(1, bound + 1):
-        fn = seq.value(n)
+        fn = seq.value(n)  # row by row: a list shorter than bound fails only on reaching its end
+        f.append(fn)
         for m in range(1, n + 1):
-            got = math.gcd(fn, seq.value(m))
-            expected = seq.value(math.gcd(n, m))
+            got = math.gcd(fn, f[m])
+            expected = f[math.gcd(n, m)]
             if got != expected:
                 yield n, m, got, expected
 

@@ -192,8 +192,8 @@ def build_instance(
     Budgets are checked against predicted sizes before anything is
     enumerated, so an oversized request fails fast, the universe first:
     the admissibility scan is quadratic in n.  The universe's level
-    sizes are multiplied only until they pass its budget, and a refusal
-    carries that running product as a lower bound.
+    sizes are read and multiplied only until they pass its budget, and a
+    refusal carries that running product as a lower bound.
     Each distinct size tuple is listed once and a key determines its
     subsets, so no two blocks are equal.  Sorting root 1's keys sorts its
     blocks by chain tuple, fixing the search order; the other roots
@@ -209,13 +209,16 @@ def build_instance(
         block_budget = DEFAULT_BLOCK_BUDGET
 
     m = n - k
+    if seq.length is not None:
+        seq.values(n)  # a list that ends before n fails at its first missing level, before any budget
+    levels = (seq.value(p) if p else 1 for p in range(k, n + 1))  # level 0 is the root
+    universe_bound = product_past(levels, universe_budget)
+    if universe_bound > universe_budget:
+        raise TilingBudgetError("universe", universe_bound, universe_budget, at_least=True)
+
     f = seq.values(n)
     f[0] = 1  # the root level
     sizes = tuple(f[k:])
-
-    universe_bound = product_past(sizes, universe_budget)
-    if universe_bound > universe_budget:
-        raise TilingBudgetError("universe", universe_bound, universe_budget, at_least=True)
 
     verdict = is_cobweb_admissible(seq, n)
     if not verdict.admissible:

@@ -50,6 +50,14 @@ def leading(rows, size):
     return tuple(row[:size] for row in rows[:size])
 
 
+def mat_mul(a, b):
+    """The product of integer matrices given by their rows: each row of a
+    weights b's rows, and the weighted rows are summed column by column."""
+    zero = [0] * len(b[0])
+    return [list(map(sum, zip(zero, *(bk if c == 1 else map(c.__mul__, bk) for c, bk in zip(row, b) if c))))
+            for row in a]
+
+
 def invert_unit_upper(rows):
     """Inverse of a unit upper-triangular integer matrix by back-substitution.
 
@@ -67,16 +75,30 @@ def invert_unit_upper(rows):
     return inv
 
 
-def grid_mobius(k, n):
-    """(elements, Mobius rows) of the layer grid P(k, n), by inverting its zeta matrix.
-
-    The elements (l, m), 0 <= l <= k, l < m <= n, are ordered by rank
-    l + m - 1 and then by l, a linear extension of the componentwise order.
-    """
+def grid_elements(k, n):
+    """The elements (l, m), 0 <= l <= k, l < m <= n, of the layer grid P(k, n),
+    ordered by rank l + m - 1 and then by l, a linear extension of the
+    componentwise order."""
     els = [(l, m) for l in range(k + 1) for m in range(l + 1, n + 1)]
-    els.sort(key=lambda e: (e[0] + e[1], e[0]))
+    return sorted(els, key=lambda e: (sum(e), e[0]))
+
+
+def grid_mobius(k, n):
+    """(elements, Mobius rows) of the layer grid P(k, n), by inverting its zeta matrix."""
+    els = grid_elements(k, n)
     zeta = [[int(a[0] <= b[0] and a[1] <= b[1]) for b in els] for a in els]
     return els, invert_unit_upper(zeta)
+
+
+def grid_max_paths(k, n, path=((0, 1),)):
+    """The maximal chains of P(k, n), walked one by one as point tuples: the
+    paths of unit steps in l or m from (0, 1) to (k, n) that keep l <= m."""
+    l, m = path[-1]
+    if (l, m) == (k, n):
+        return [path]
+    steps = [(l + 1, m)] if l < min(k, m) else []
+    steps += [(l, m + 1)] if m < n else []
+    return [p for step in steps for p in grid_max_paths(k, n, path + (step,))]
 
 
 def stirling_rows(max_n):

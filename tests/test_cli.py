@@ -679,13 +679,27 @@ def test_start_up_imports_no_process_pool():
 def test_refusal_stops_multiplying_at_the_budget(capsys, argv):
     # The product of all 3001 level sizes has about 940,000 digits; levels
     # 0..12 already hold 1*1*1*2*3*5*8*13*21*34*55*89*144 > 100000 chains.
-    # Every level size is still read first, one addition each for fib
-    # (one fast doubling per index took seconds at 30000 levels).
+    # `tile` reads only those 13 level sizes; `chains` still reads every
+    # level size first, one addition each for fib (one fast doubling per
+    # index took seconds at 30000 levels).
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2
     assert (code, out) == (3, "")
     assert "at least 2227680" in err and len(err) < 1000
+
+
+def test_tile_refusal_reads_only_the_levels_it_multiplies(capsys):
+    # Reading all 30001 Fibonacci level sizes first peaked at 43.7 MiB.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "tile", "fib", "0", "30000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "at least 2227680" in err
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("argv", [

@@ -123,3 +123,5 @@ def test_dobinski_range():
         bell_dobinski(-1, 1e-9)
     with pytest.raises(ValueError):
         bell_dobinski(5, 0.0)
+    with pytest.raises(ValueError, match="rel_tol must be positive, got nan"):
+        bell_dobinski(5, float("nan"))

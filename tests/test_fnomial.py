@@ -11,66 +11,64 @@ import math
 
 import pytest
 
-from cobweb import FNomialTable, NonIntegralError, fnomial_coefficient, parse_sequence
+from cobweb import CobwebPoset, NonIntegralError, fnomial_coefficient, parse_sequence
 from oracles import fnomial_by_factorials
 
 
-def table(spec: str, max_n: int) -> FNomialTable:
-    return FNomialTable(parse_sequence(spec), max_n)
+def fnomial(spec: str, n: int, k: int) -> int:
+    return fnomial_coefficient(parse_sequence(spec), n, k)
+
+
+def f_factorial(spec: str, n: int) -> int:
+    """n_F! = F_1 ... F_n, read as the number of maximal chains over levels 0..n."""
+    return CobwebPoset(parse_sequence(spec), n).count_max_chains(0, n)
 
 
 def test_f_factorial_values():
-    t = table("fib", 6)
-    assert [t.f_factorial(n) for n in range(7)] == [1, 1, 1, 2, 6, 30, 240]
+    assert [f_factorial("fib", n) for n in range(7)] == [1, 1, 1, 2, 6, 30, 240]
 
 
 def test_f_factorial_nat_is_factorial():
-    t = table("nat", 10)
     for n in range(11):
-        assert t.f_factorial(n) == math.factorial(n)
+        assert f_factorial("nat", n) == math.factorial(n)
 
 
 def test_f_factorial_const1():
-    t = table("const:1", 8)
-    assert all(t.f_factorial(n) == 1 for n in range(9))
+    assert all(f_factorial("const:1", n) == 1 for n in range(9))
 
 
 def test_falling_is_a_pure_product():
-    t = table("fib", 8)
-    # F_5 * F_4 = 5 * 3
-    assert t.falling(5, 2) == 15
-    assert t.falling(8, 3) == 21 * 13 * 8
-    assert t.falling(6, 0) == 1
-    assert t.falling(6, 6) == t.f_factorial(6)
+    # F_n ... F_{k+1} counts the maximal chains over levels k+1..n.
+    p = CobwebPoset(parse_sequence("fib"), 8)
+    assert p.count_max_chains(4, 5) == 15  # F_5 * F_4 = 5 * 3
+    assert p.count_max_chains(6, 8) == 21 * 13 * 8
+    assert p.count_max_chains(1, 6) == f_factorial("fib", 6)
 
 
 def test_fnomial_examples():
-    assert table("fib", 5).fnomial(5, 2) == 15
-    assert table("nat", 6).fnomial(6, 3) == 20
-    assert table("gauss:2", 4).fnomial(4, 2) == 35
-    assert table("const:1", 9).fnomial(9, 4) == 1
+    assert fnomial("fib", 5, 2) == 15
+    assert fnomial("nat", 6, 3) == 20
+    assert fnomial("gauss:2", 4, 2) == 35
+    assert fnomial("const:1", 9, 4) == 1
 
 
 def test_fnomial_edges():
-    t = table("fib", 12)
     for n in range(13):
-        assert t.fnomial(n, 0) == 1
-        assert t.fnomial(n, n) == 1
+        assert fnomial("fib", n, 0) == 1
+        assert fnomial("fib", n, n) == 1
 
 
 def test_fnomial_symmetry():
     for spec in ("nat", "fib", "gauss:2", "even1"):
-        t = table(spec, 12)
         for n in range(13):
             for k in range(n + 1):
-                assert t.fnomial(n, k) == t.fnomial(n, n - k)
+                assert fnomial(spec, n, k) == fnomial(spec, n, n - k)
 
 
 def test_nat_fnomial_is_binomial():
-    t = table("nat", 20)
     for n in range(21):
         for k in range(n + 1):
-            assert t.fnomial(n, k) == math.comb(n, k)
+            assert fnomial("nat", n, k) == math.comb(n, k)
 
 
 def _gauss_oracle(q: int, max_n: int) -> dict[tuple[int, int], int]:
@@ -85,15 +83,14 @@ def _gauss_oracle(q: int, max_n: int) -> dict[tuple[int, int], int]:
 @pytest.mark.parametrize("q", [2, 3])
 def test_gaussian_against_q_pascal(q):
     oracle = _gauss_oracle(q, 12)
-    t = table(f"gauss:{q}", 12)
     for n in range(13):
         for k in range(n + 1):
-            assert t.fnomial(n, k) == oracle[(n, k)]
+            assert fnomial(f"gauss:{q}", n, k) == oracle[(n, k)]
 
 
 def test_gauss_frozen_value():
     assert _gauss_oracle(2, 5)[(5, 2)] == 155
-    assert table("gauss:2", 5).fnomial(5, 2) == 155
+    assert fnomial("gauss:2", 5, 2) == 155
 
 
 def test_fibonomial_against_recurrence():
@@ -105,26 +102,24 @@ def test_fibonomial_against_recurrence():
             return 1
         return fib.value(k + 1) * fibo(n - 1, k) + fib.value(n - k - 1) * fibo(n - 1, k - 1)
 
-    t = table("fib", 15)
     for n in range(16):
         for k in range(n + 1):
-            assert t.fnomial(n, k) == fibo(n, k)
+            assert fnomial("fib", n, k) == fibo(n, k)
 
 
 def test_eq1_identity():
-    """fnomial(n, k) * m_F! == falling(n, m) with m = n - k, exactly."""
+    """fnomial(n, k) * m_F! == F_n ... F_{n-m+1} with m = n - k, exactly."""
     for spec in ("nat", "fib", "gauss:2", "div3"):
-        t = table(spec, 16)
+        f = parse_sequence(spec).values(16)
         for n in range(17):
             for k in range(n + 1):
                 m = n - k
-                assert t.fnomial(n, k) * t.f_factorial(m) == t.falling(n, m)
+                assert fnomial(spec, n, k) * math.prod(f[1:m + 1]) == math.prod(f[k + 1:n + 1])
 
 
 def test_non_integral_error_payload():
-    t = table("list:[2,3,4,5]", 4)
     with pytest.raises(NonIntegralError) as info:
-        t.fnomial(2, 1)
+        fnomial("list:[2,3,4,5]", 2, 1)
     err = info.value
     assert (err.n, err.k) == (2, 1)
     assert err.fraction == Fraction(3, 2)
@@ -138,22 +133,15 @@ def test_non_integral_is_arithmetic_error():
 
 def test_odd_non_integral_at_4_2():
     with pytest.raises(NonIntegralError) as info:
-        table("odd", 4).fnomial(4, 2)
+        fnomial("odd", 4, 2)
     assert info.value.fraction == Fraction(35, 3)
 
 
 def test_range_errors():
-    t = table("fib", 6)
     with pytest.raises(ValueError):
-        t.fnomial(5, 6)  # k > n
+        fnomial("fib", 5, 6)  # k > n
     with pytest.raises(ValueError):
-        t.fnomial(7, 2)  # n > max_n
-    with pytest.raises(ValueError):
-        t.fnomial(-1, 0)
-    with pytest.raises(ValueError):
-        t.falling(5, 6)
-    with pytest.raises(ValueError):
-        t.f_factorial(-2)
+        fnomial("fib", -1, 0)
 
 
 @pytest.mark.parametrize("spec", ["nat", "fib", "gauss:2", "even1", "odd", "list:[2,3,4,5]"])
@@ -179,10 +167,3 @@ def test_a_list_shorter_than_n_has_no_coefficient(k):
     # j = min(k, n - k) factors would not reach past the list, but F_n is read.
     with pytest.raises(ValueError, match="n <= 2"):
         fnomial_coefficient(parse_sequence("list:[2,3]"), 5, k)
-
-
-def test_table_is_primed_and_stable():
-    t = table("fib", 10)
-    before = t.fnomial(10, 5)
-    assert t.value(7) == 13
-    assert t.fnomial(10, 5) == before

@@ -257,6 +257,19 @@ def test_list_234_not_morphic():
     failures = set(gcd_morphism_failures(seq, 3))
     # gcd(F_3, F_2) = gcd(4, 3) = 1, but F_gcd(3,2) = F_1 = 2
     assert (3, 2, 1, 2) in failures
+    # Rows are read in turn: past the list's end, the failure in row 2 still
+    # comes first, and a list without one fails where it ends.
+    assert is_gcd_morphic(seq, 10).first_failure == (2, 1)
+    with pytest.raises(ValueError, match="got 4"):
+        is_gcd_morphic(parse_sequence("list:[1,1,1]"), 10)
+
+
+def test_gcd_scan_reads_each_value_once():
+    seq = parse_sequence("nat")
+    calls, fn = [], seq._fn
+    seq._fn = lambda n: calls.append(n) or fn(n)
+    assert is_gcd_morphic(seq, 50).gcd_morphic
+    assert len(calls) <= 51  # not once per pair
 
 
 def test_even1_not_morphic():
