@@ -12,6 +12,7 @@ ascending within a level.  All matrix arithmetic is exact big-integer.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,16 +82,27 @@ class CobwebPoset:
     def __init__(self, seq: "AdmissibleSequence", max_level: int):
         if max_level < 0:
             raise ValueError(f"max_level must be >= 0, got {max_level}")
+        if seq.length is not None:
+            seq.values(max_level)  # a list that ends before max_level fails here, not at first use
         self.seq = seq
         self.max_level = max_level
-        sizes = seq.values(max_level)
+
+    @functools.cached_property
+    def level_sizes(self) -> tuple[int, ...]:
+        """1, F_1, ..., F_max_level, read on first use, so that a refused
+        enumeration reads only the level sizes it multiplies."""
+        sizes = self.seq.values(self.max_level)
         sizes[0] = 1  # the root level
-        self.level_sizes = tuple(sizes)
-        starts = [0]
-        for s in self.level_sizes:
-            starts.append(starts[-1] + s)
-        self._starts = tuple(starts)
-        self.vertex_count = starts[-1]
+        return tuple(sizes)
+
+    @functools.cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """The level-major index of each level's first vertex, and the vertex count last."""
+        return tuple(itertools.accumulate(self.level_sizes, initial=0))
+
+    @property
+    def vertex_count(self) -> int:
+        return self._starts[-1]
 
     # --- chain counting ------------------------------------------------------
 
@@ -122,11 +134,11 @@ class CobwebPoset:
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
         self._check_span(from_level, to_level)
-        sizes = self.level_sizes[from_level:to_level + 1]
-        bound = product_past(sizes, budget)
+        levels = range(from_level, to_level + 1)
+        bound = product_past((self.seq.value(p) if p else 1 for p in levels), budget)
         if bound > budget:
             raise EnumerationBudgetError(bound, budget, at_least=True)
-        levels = range(from_level, to_level + 1)
+        sizes = self.level_sizes[from_level:to_level + 1]
         for js in itertools.product(*(range(1, s + 1) for s in sizes)):
             yield tuple(zip(js, levels))
 

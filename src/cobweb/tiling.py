@@ -69,16 +69,23 @@ included, is the one of the search without the memo.  A root's memo
 takes entries only while they fit a fixed byte bound (_MEMO_BYTES); past
 it the search stays exact and stops memoising.  It is dropped once the
 root is done.
+
+With jobs > 1, a root's branches are shared out between the caller and
+children it forks for that root alone (see _search_root).  A child
+inherits the tables and the memo as they stand and keeps its own from
+then on; the caller takes the results back in branch order, so every
+field of the outcome is the serial one.
 """
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .poset import product_past
 from .sequences import is_cobweb_admissible
@@ -585,19 +592,6 @@ def _ranks(x: int, count: int) -> Iterable[int]:
     return map(operator.add, itertools.accumulate(map(len, runs)), range(len(runs) - 1))
 
 
-# A pool worker's copy of every root's search tables, installed once by _init_worker.
-_worker_covers: list[_ExactCover] | None = None
-
-
-def _init_worker(covers: list[_ExactCover]) -> None:
-    global _worker_covers
-    _worker_covers = covers
-
-
-def _worker_search(root: int, *args) -> tuple[int, tuple[int, ...] | None, bool, int]:
-    return _worker_covers[root].search(*args)
-
-
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
     try:
@@ -630,10 +624,10 @@ def _solve(
     weight.  The search stops at the first root whose count is 0.  The
     witness is the roots' first covers in root order, a root's first
     cover being that of its first branch that has one.  Parallel runs
-    map one root's branches at a time and consume the same outcomes in
-    the same order, so serial and parallel runs agree on every field.
-    Fork starts every pool worker at once, so there are no more than
-    the branches of a root searched or the CPUs.
+    fork one root's searchers at a time and consume the same outcomes in
+    the same order (see _search_root), so serial and parallel runs agree
+    on every field.  A root gets at most ``jobs`` processes, the caller
+    included, and no more than its branches searched or the CPUs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -655,47 +649,105 @@ def _solve(
         weights, power = [weights], instance.level_sizes[0]
     else:
         weights, power = [(1,) * len(bs) for bs in branches], 1
+    if not hasattr(os, "fork"):  # no fork on this platform: search serially
+        jobs = 1
+    elif jobs > 1:
+        jobs = min(jobs, _cpu_count())
     total, witness, exhausted, nodes = 1, (), False, 1
-    pool = None
-    try:
-        if jobs > 1:
-            # Imported here, so that only a run that makes a pool loads
-            # concurrent.futures and multiprocessing.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(
-                min(jobs, max(map(len, branches)), _cpu_count()),
-                initializer=_init_worker,
-                initargs=(covers,),
-            )
-        for r, (cover, (indices, _)) in enumerate(zip(covers, roots)):
-            target = None if cap is None else _least_root(-(-cap // total), power)
-            caps = [None if target is None else -(-target // w) for w in weights[r]]
-            searches = (branches[r], itertools.repeat(per_branch), caps)
-            if pool is None:
-                results = map(cover.search, *searches)
-            else:
-                results = pool.map(_worker_search, itertools.repeat(r), *searches)
-            count, first = 0, None
-            for weight, (b_count, b_witness, b_exhausted, b_nodes) in zip(weights[r], results):
-                count += weight * b_count
-                exhausted = exhausted or b_exhausted
-                nodes += b_nodes
-                first = first or b_witness
-                if target is not None and count >= target:
-                    break
-            cover.memo.clear()  # no later root reads it
-            if not count:
-                return 0, None, exhausted, nodes
-            total *= count**power
-            witness += tuple(map(indices.__getitem__, first))
-    finally:
-        if pool is not None:  # branches no worker has started are dropped
-            pool.shutdown(cancel_futures=True)
+    for cover, (indices, _), bs, ws in zip(covers, roots, branches, weights):
+        target = None if cap is None else _least_root(-(-cap // total), power)
+        caps = [None if target is None else -(-target // w) for w in ws]
+        count, first, exhausted_r, nodes_r = _search_root(
+            cover, bs, ws, per_branch, caps, target, min(jobs, len(bs))
+        )
+        exhausted = exhausted or exhausted_r
+        nodes += nodes_r
+        cover.memo.clear()  # no later root reads it
+        if not count:
+            return 0, None, exhausted, nodes
+        total *= count**power
+        witness += tuple(map(indices.__getitem__, first))
     # Root r + 1 of a built instance repeats root 1's cover, offset by r
     # roots' blocks; tuple blocks have power 1 and keep their witness.
     width = len(roots[0][0])
     return total, tuple(r * width + b for r in range(power) for b in witness), exhausted, nodes
+
+
+def _search_root(
+    cover: _ExactCover,
+    branches: tuple[int, ...],
+    weights: tuple[int, ...],
+    budget: int,
+    caps: list[int | None],
+    target: int | None,
+    workers: int,
+) -> tuple[int, tuple[int, ...] | None, bool, int]:
+    """One root's branches in order, until its weighted count reaches
+    ``target``: (count, first witness, any_exhausted, nodes).
+
+    Branch i is searched by process i % workers.  Process 0 is the caller;
+    the others are forked children, which inherit the root's tables,
+    search their branches in order and write each result with marshal to
+    a pipe of their own.  The caller takes every result in branch order,
+    as a serial run does, so the two agree on every field.  However the
+    root ends (done, at its target, or by an exception), every child is
+    killed and reaped before this returns.
+    """
+    if workers > 1:
+        import signal  # not at start-up: only a run that forks needs it
+    pids: list[int] = []
+    pipes = []  # the read end of process w's pipe at w - 1
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:  # the child keeps its own copy
+                pid = os.fork()
+                if not pid:
+                    _child(cover, branches[w::workers], budget, caps[w::workers], out)
+                pids.append(pid)
+        count, first, exhausted, nodes = 0, None, False, 0
+        for i, (b, weight, cap) in enumerate(zip(branches, weights, caps)):
+            if i % workers:
+                try:
+                    result = marshal.load(pipes[i % workers - 1])
+                except EOFError:
+                    raise RuntimeError(
+                        f"the process searching root branch {b} ended without its result"
+                    ) from None
+            else:
+                result = cover.search(b, budget, cap)
+            b_count, b_witness, b_exhausted, b_nodes = result
+            count += weight * b_count
+            exhausted = exhausted or b_exhausted
+            nodes += b_nodes
+            first = first or b_witness
+            if target is not None and count >= target:
+                break
+        return count, first, exhausted, nodes
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _child(cover: _ExactCover, branches, budget: int, caps, out) -> NoReturn:
+    """A forked child's whole life: search ``branches`` in order and write
+    each result to ``out`` as soon as it is known.
+
+    It leaves only through os._exit, so it never flushes the caller's
+    stdio buffers or runs its exit handlers.  An exception ends it without
+    the rest of its results, and the caller raises when it finds them
+    missing.
+    """
+    try:
+        for b, cap in zip(branches, caps):
+            marshal.dump(cover.search(b, budget, cap), out)
+            out.flush()
+    finally:
+        os._exit(0)  # an exception shows in the caller as missing results
 
 
 def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -679,9 +679,7 @@ def test_start_up_imports_no_process_pool():
 def test_refusal_stops_multiplying_at_the_budget(capsys, argv):
     # The product of all 3001 level sizes has about 940,000 digits; levels
     # 0..12 already hold 1*1*1*2*3*5*8*13*21*34*55*89*144 > 100000 chains.
-    # `tile` reads only those 13 level sizes; `chains` still reads every
-    # level size first, one addition each for fib (one fast doubling per
-    # index took seconds at 30000 levels).
+    # Both commands read only those 13 level sizes.
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2
@@ -689,17 +687,28 @@ def test_refusal_stops_multiplying_at_the_budget(capsys, argv):
     assert "at least 2227680" in err and len(err) < 1000
 
 
-def test_tile_refusal_reads_only_the_levels_it_multiplies(capsys):
-    # Reading all 30001 Fibonacci level sizes first peaked at 43.7 MiB.
+def refusal_peak(capsys, *argv):
+    """The tracemalloc peak of a run that the universe or enumeration budget refuses."""
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "tile", "fib", "0", "30000")
+        code, out, err = run(capsys, *argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (code, out) == (3, "")
     assert "at least 2227680" in err
-    assert peak < 4 * 2**20
+    return peak
+
+
+def test_tile_refusal_reads_only_the_levels_it_multiplies(capsys):
+    # Reading all 30001 Fibonacci level sizes first peaked at 43.7 MiB.
+    assert refusal_peak(capsys, "tile", "fib", "0", "30000") < 4 * 2**20
+
+
+def test_chains_refusal_reads_only_the_levels_it_multiplies(capsys):
+    # Reading all 30001 Fibonacci level sizes first peaked at 82.3 MiB.
+    argv = ["chains", "fib", "--from", "0", "--to", "30000", "--enumerate"]
+    assert refusal_peak(capsys, *argv) < 4 * 2**20
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,3 +720,14 @@ def test_short_list_is_a_domain_error_before_the_budget(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "defines values for n <= 8, got 9" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--from", "30001", "--to", "30000"], "error: level 30001 outside 0..30000\n"),
+    (["--from", "-1", "--to", "30000"], "error: level -1 outside 0..30000\n"),
+    (["--from", "0", "--to", "-1"], "error: max_level must be >= 0, got -1\n"),
+], ids=["above", "below", "negative"])
+def test_chains_span_errors_come_before_the_budget(capsys, argv, err):
+    # Levels 0..30000 hold far more chains than the budget allows; a bad
+    # span is still reported first.
+    assert run(capsys, "chains", "fib", *argv, "--enumerate") == (1, "", err)
