@@ -42,8 +42,43 @@ from .tiling import (
     witness_to_json,
 )
 
-def _print_json(obj: dict) -> None:
-    print(json.dumps(obj))
+def _print_json(doc: dict) -> None:
+    """Print doc as json.dumps writes it.  A last value that is callable,
+    after at least one other, renders a JSON array itself: the call
+    returns the array's text in pieces, each written as it comes, with no
+    Python object per entry."""
+    key, last = next(reversed(doc.items()))
+    if not callable(last):
+        print(json.dumps(doc))
+        return
+    head = json.dumps({k: v for k, v in doc.items() if k != key})[:-1]
+    write = sys.stdout.write
+    write(f"{head}, {json.dumps(key)}: ")
+    for piece in last():
+        write(piece)
+    write("}\n")
+
+
+class _Labels(dict):
+    """Vertex -> its label, formatted from the template once, at its first lookup."""
+
+    def __init__(self, template: str):
+        self.template = template
+
+    def __missing__(self, vertex):
+        self[vertex] = label = self.template.format(*vertex)
+        return label
+
+
+def _chain_texts(chains, vertex: str, sep: str):
+    """Each chain as its vertices' labels, vertex.format(j, p), joined by sep."""
+    join, label = sep.join, _Labels(vertex).__getitem__
+    return (join(map(label, chain)) for chain in chains)
+
+
+def _json_chains(chains: list) -> list[str]:
+    """The chains as json.dumps writes them, in one piece."""
+    return ["[[" + "], [".join(_chain_texts(chains, "[{}, {}]", ", ")) + "]]" if chains else "[]"]
 
 
 def _lazy(template: str, *values):
@@ -109,7 +144,7 @@ def cmd_matrix(args: argparse.Namespace) -> tuple:
         "levels": args.levels,
         "matrix": args.which,
         "order": mat.order,
-        "rows": mat.rows,
+        "rows": mat.json_rows,
     }
     # The dump ends in the newline that print adds.
     return doc, (m.dump()[:-1] for m in [mat]), 0
@@ -127,8 +162,8 @@ def cmd_chains(args: argparse.Namespace) -> tuple:
     chains = poset.enumerate_max_chains(args.from_level, args.to_level, args.budget)
     if args.format == "json":
         chains = list(chains)
-        doc.update(count=len(chains), chains=chains)
-    return doc, (" ".join(f"({j},{p})" for j, p in chain) for chain in chains), 0
+        doc.update(count=len(chains), chains=functools.partial(_json_chains, chains))
+    return doc, _chain_texts(chains, "({},{})", " "), 0
 
 
 def cmd_grid(args: argparse.Namespace) -> tuple:

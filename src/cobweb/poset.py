@@ -9,6 +9,10 @@ they coincide.
 
 Matrices use the level-major vertex order: levels ascending, index j
 ascending within a level.  All matrix arithmetic is exact big-integer.
+The poset is an ordinal sum of antichains, so a zeta or Mobius entry
+depends only on the two vertices' levels and on whether they coincide:
+a matrix is kept as one row template per level, and its text is
+rendered from the templates rather than entry by entry.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from .sequences import AdmissibleSequence
@@ -59,17 +63,54 @@ def product_past(factors, bound: int) -> int:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """A matrix over a fixed linear order of poset elements."""
+    """A level-major block of a cobweb incidence matrix, kept level by level.
+
+    The rows of one level are one string but for their diagonal 1: zeros
+    up to the level's end, then runs of one value each over the higher
+    levels.  ``levels`` holds, per level in the block, the span [start,
+    end) of its rows and the (value, count) runs to their right.  dump
+    and json_rows render every row from that by string repetition, and
+    ``rows`` spells the entries out only when it is first read.
+    """
 
     order: tuple[Vertex, ...]
-    rows: tuple[tuple[int, ...], ...]
+    levels: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries, one tuple per row."""
+        rows = []
+        for start, end, runs in self.levels:
+            tail = []
+            for value, count in runs:
+                tail += [value] * count
+            for i in range(start, end):
+                row = [0] * end + tail
+                row[i] = 1
+                rows.append(tuple(row))
+        return tuple(rows)
+
+    def _rendered(self, sep: str) -> Iterator[str]:
+        """Each row's entries in decimal, joined by sep."""
+        zero, zero_after = f"0{sep}", f"{sep}0"
+        for start, end, runs in self.levels:
+            tail = "".join(f"{sep}{value}" * count for value, count in runs)
+            for i in range(start, end):
+                yield "".join((zero * i, "1", zero_after * (end - i - 1), tail))
 
     def dump(self) -> str:
         """Text form: a '# order:' header, then one row per line."""
         header = "# order: " + " ".join(f"({j},{p})" for j, p in self.order)
-        lines = [header]
-        lines.extend(" ".join(str(x) for x in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return "\n".join([header, *self._rendered(" "), ""])
+
+    def json_rows(self) -> Iterator[str]:
+        """The rows as json.dumps writes them, [[1, 0, ...], ...], one row
+        to a piece, so that no piece holds more than a row."""
+        sep = "["
+        for row in self._rendered(", "):
+            yield f"{sep}[{row}]"
+            sep = ", "
+        yield "]" if sep == ", " else "[]"
 
 
 class CobwebPoset:
@@ -139,8 +180,8 @@ class CobwebPoset:
         if bound > budget:
             raise EnumerationBudgetError(bound, budget, at_least=True)
         sizes = self.level_sizes[from_level:to_level + 1]
-        for js in itertools.product(*(range(1, s + 1) for s in sizes)):
-            yield tuple(zip(js, levels))
+        vertices = ([(j, p) for j in range(1, a + 1)] for p, a in zip(levels, sizes))
+        yield from itertools.product(*vertices)
 
     def count_chains_of_length(self, t: int) -> int:
         """Strictly increasing chains with exactly t elements.
@@ -160,14 +201,16 @@ class CobwebPoset:
     # --- incidence algebra ---------------------------------------------------
 
     def _level_matrix(
-        self, above: Callable[[int, int], int], size: int | None
+        self, above: Callable[[int, int], Iterable[tuple[int, int]]], size: int | None
     ) -> IncidenceMatrix:
         """The leading size x size block (all of it when size is None) of the
         level-major matrix with 1 on the diagonal, 0 within and below a
-        vertex's level, and above(p, q) from level p to each vertex of q > p.
+        vertex's level, and above the level of row p the runs that
+        above(p, top) yields: (value, n) puts value in every column of the
+        next n levels, and the runs cover levels p + 1 .. top in order.
 
-        Only the requested block is built, and only when its size * size
-        entries fit MATRIX_ENTRY_BUDGET.
+        The block is kept by level, and only when its size * size entries
+        fit MATRIX_ENTRY_BUDGET.
         """
         if size is None:
             size = self.vertex_count
@@ -175,23 +218,17 @@ class CobwebPoset:
             raise ValueError(f"size must be between 0 and {self.vertex_count}, got {size}")
         if size * size > MATRIX_ENTRY_BUDGET:
             raise EnumerationBudgetError(size * size, MATRIX_ENTRY_BUDGET, "matrix entries")
-        starts = self._starts
-        rows = []
-        for p in range(self.max_level + 1):
-            if starts[p] >= size:
-                break
-            end = min(starts[p + 1], size)
-            tail = []
-            for q in range(p + 1, self.max_level + 1):
-                if starts[q] >= size:
-                    break
-                tail += [above(p, q)] * (min(starts[q + 1], size) - starts[q])
-            for i in range(starts[p], end):
-                row = [0] * end + tail
-                row[i] = 1
-                rows.append(tuple(row))
+        bounds = [s for s in self._starts if s < size] + [size]  # each level's rows in the block
+        top = len(bounds) - 2  # the highest level the block meets
+        levels = []
+        for p in range(top + 1):
+            runs, q = [], p + 1
+            for value, n in above(p, top):
+                runs.append((value, bounds[q + n] - bounds[q]))
+                q += n
+            levels.append((bounds[p], bounds[p + 1], tuple(runs)))
         vertices = ((j, p) for p, a in enumerate(self.level_sizes) for j in range(1, a + 1))
-        return IncidenceMatrix(tuple(itertools.islice(vertices, size)), tuple(rows))
+        return IncidenceMatrix(tuple(itertools.islice(vertices, size)), tuple(levels))
 
     def zeta_matrix(self, size: int | None = None) -> IncidenceMatrix:
         """The zeta matrix: entry (u, v) is 1 iff u <= v, level-major order.
@@ -199,16 +236,26 @@ class CobwebPoset:
         Unit upper-triangular because the order is a linear extension.
         ``size`` asks for the leading size x size block only.
         """
-        return self._level_matrix(lambda p, q: 1, size)
+        return self._level_matrix(lambda p, top: [(1, top - p)] if p < top else [], size)
 
     def mobius_matrix(self, size: int | None = None) -> IncidenceMatrix:
         """The Mobius matrix (the inverse of zeta) in closed form.
 
         The levels are antichains stacked as an ordinal sum, so for u on
-        level p and v on level q > p, mu(u, v) = (-1)^(q-p) prod_{p<i<q} (F_i - 1).
+        level p and v on level q > p, mu(u, v) = (-1)^(q-p) prod_{p<i<q} (F_i - 1):
+        one product per level p, extended a factor 1 - F_q at each q, and
+        zero from the first level of one vertex on.
         ``size`` asks for the leading size x size block only.
         """
         sizes = self.level_sizes
-        return self._level_matrix(
-            lambda p, q: (-1) ** (q - p) * math.prod(f - 1 for f in sizes[p + 1:q]), size
-        )
+
+        def above(p: int, top: int) -> Iterator[tuple[int, int]]:
+            mu = -1
+            for q in range(p + 1, top + 1):
+                if not mu:
+                    yield 0, top + 1 - q
+                    return
+                yield mu, 1
+                mu *= 1 - sizes[q]
+
+        return self._level_matrix(above, size)

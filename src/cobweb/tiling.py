@@ -78,6 +78,7 @@ field of the outcome is the serial one.
 """
 from __future__ import annotations
 
+import builtins
 import itertools
 import marshal
 import math
@@ -715,6 +716,8 @@ def _search_root(
                     raise RuntimeError(
                         f"the process searching root branch {b} ended without its result"
                     ) from None
+                if len(result) == 2:  # the child's exception, not a 4-field result
+                    raise _child_error(b, *result)
             else:
                 result = cover.search(b, budget, cap)
             b_count, b_witness, b_exhausted, b_nodes = result
@@ -738,16 +741,32 @@ def _child(cover: _ExactCover, branches, budget: int, caps, out) -> NoReturn:
     each result to ``out`` as soon as it is known.
 
     It leaves only through os._exit, so it never flushes the caller's
-    stdio buffers or runs its exit handlers.  An exception ends it without
-    the rest of its results, and the caller raises when it finds them
-    missing.
+    stdio buffers or runs its exit handlers.  An exception ends it after
+    writing its type name and message in place of the next result, for
+    the caller to raise (see _child_error).
     """
     try:
-        for b, cap in zip(branches, caps):
-            marshal.dump(cover.search(b, budget, cap), out)
+        try:
+            for b, cap in zip(branches, caps):
+                marshal.dump(cover.search(b, budget, cap), out)
+                out.flush()
+        except Exception as err:
+            marshal.dump((type(err).__name__, str(err)), out)
             out.flush()
     finally:
-        os._exit(0)  # an exception shows in the caller as missing results
+        os._exit(0)  # a child that dies unreported shows in the caller as a missing result
+
+
+def _child_error(branch: int, name: str, message: str) -> Exception:
+    """The exception a child reported for ``branch``: the built-in type of
+    that name with that message, or else a RuntimeError that names it."""
+    cls = getattr(builtins, name, None)
+    if isinstance(cls, type) and issubclass(cls, Exception):
+        try:
+            return cls(message)
+        except TypeError:  # a built-in that takes more than a message
+            pass
+    return RuntimeError(f"{name} in the process searching root branch {branch}: {message}")
 
 
 def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[int, ...]]:

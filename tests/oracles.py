@@ -5,6 +5,7 @@ alone and imports nothing from cobweb, so a fault in the library cannot
 reach the value it is checked against.  Vertices are (j, p) pairs:
 index j within level p.
 """
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -43,6 +44,34 @@ def chains_of_length(level_sizes, t):
             continue
         stack.extend((j, depth + 1) for j in range(i + 1, len(verts)) if verts[i][1] < verts[j][1])
     return total
+
+
+def level_major(level_sizes):
+    """The vertices level by level, index j ascending within a level."""
+    return [(j, p) for p, size in enumerate(level_sizes) for j in range(1, size + 1)]
+
+
+def chains_by_product(level_sizes, lo, hi):
+    """Every chain meeting each level of lo..hi once, as vertex tuples, in
+    the order itertools.product walks the per-level indices."""
+    levels = range(lo, hi + 1)
+    return [tuple(zip(js, levels)) for js in product(*(range(1, level_sizes[p] + 1) for p in levels))]
+
+
+def render(doc, fmt):
+    """The command line's stdout for a zeta, mobius or chains document,
+    rendered entry by entry: json.dumps of the whole document for "json";
+    for "text", a matrix's '# order:' header and one line of decimal
+    entries per row, or one line of (j,p) labels per chain."""
+    if fmt == "json":
+        return json.dumps(doc) + "\n"
+    label = "({},{})".format
+    if "rows" in doc:
+        lines = ["# order: " + " ".join(label(*v) for v in doc["order"])]
+        lines += [" ".join(map(str, row)) for row in doc["rows"]]
+    else:
+        lines = [" ".join(label(*v) for v in chain) for chain in doc["chains"]]
+    return "".join(line + "\n" for line in lines)
 
 
 def leading(rows, size):

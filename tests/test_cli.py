@@ -1,9 +1,11 @@
 """Exit codes, text formats, and JSON schema of the command line."""
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -25,7 +27,16 @@ from cobweb import (
     parse_sequence,
 )
 from cobweb.cli import main
-from oracles import bell_by_triangle, fnomial_by_factorials
+from oracles import (
+    bell_by_triangle,
+    chains_by_product,
+    fnomial_by_factorials,
+    invert_unit_upper,
+    leading,
+    leq,
+    level_major,
+    render,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -142,6 +153,37 @@ def test_zeta_size_builds_only_the_leading_block(capsys):
     assert code == 0
     assert out == (FIXTURES / "fib_zeta_16.txt").read_text()
     assert peak < 2_000_000
+
+
+class CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, s):
+        self.chars += len(s)
+        return len(s)
+
+
+@pytest.mark.parametrize("fmt, chars, bound", [
+    ("json", 11_247_171, 2_000_000),
+    ("text", 8_690_308, 20_000_000),
+], ids=["json", "text"])
+def test_whole_matrix_memory_is_its_text(fmt, chars, bound):
+    # fib at 15 levels has 1596 vertices, so 2547216 entries.  JSON rows are
+    # written one at a time; the text form is one string, built from a
+    # list of its rows.  Built as one int per entry, either took over 40 MiB.
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["mobius", "fib", "--levels", "15", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.chars) == (0, chars)
+    assert peak < bound
 
 
 @pytest.mark.parametrize("which", ["zeta", "mobius"])
@@ -731,3 +773,85 @@ def test_chains_span_errors_come_before_the_budget(capsys, argv, err):
     # Levels 0..30000 hold far more chains than the budget allows; a bad
     # span is still reported first.
     assert run(capsys, "chains", "fib", *argv, "--enumerate") == (1, "", err)
+
+
+# --- rendering against entry-by-entry oracles -----------------------------------
+
+# F_p of each spec of the rendering grid, written out rather than read from cobweb.
+GRID_VALUES = {
+    "nat": lambda p: p,
+    "fib": lambda p: round(((1 + 5 ** 0.5) / 2) ** p / 5 ** 0.5),
+    "const:1": lambda p: 1,
+    "const:2": lambda p: 2,
+    "gauss:2": lambda p: 2 ** p - 1,
+    "list:[1,3,2]": lambda p: (0, 1, 3, 2)[p],
+}
+GRID_VERTICES = 200
+
+
+def grid_level_sizes(spec):
+    """1, F_1, ..., F_m for the most levels m whose whole matrix has at
+    most GRID_VERTICES vertices (and that the spec defines)."""
+    sizes = [1]
+    for p in itertools.count(1):
+        if spec.startswith("list:") and p > 3:
+            return sizes
+        if sum(sizes) + GRID_VALUES[spec](p) > GRID_VERTICES:
+            return sizes
+        sizes.append(GRID_VALUES[spec](p))
+
+
+@functools.lru_cache(maxsize=None)
+def grid_matrices(spec):
+    """The zeta rows of the spec's largest grid poset, by the order relation,
+    and its Mobius rows, by back-substitution.  A poset of fewer levels
+    has the leading blocks of these as its matrices."""
+    order = level_major(grid_level_sizes(spec))
+    zeta = [[int(leq(u, v)) for v in order] for u in order]
+    return {"zeta": zeta, "mobius": invert_unit_upper(zeta)}
+
+
+def grid_blocks(spec):
+    """(levels, size) pairs: for every level count m, the whole matrix and
+    sizes 0 and 1; at the most levels, every level boundary +-1 too.  At
+    fewer levels a block that ends at or below the start of level m is one
+    checked at the most levels, so there only the sizes that cut level m
+    are added: its boundaries +-1 inside it."""
+    starts = list(itertools.accumulate(grid_level_sizes(spec), initial=0))
+    top = len(starts) - 2
+    cases = []
+    for m in range(top + 1):
+        low, high = (-1, starts[-1]) if m == top else (starts[m], starts[m + 1] - 1)
+        cuts = {b + d for b in starts[:m + 2] for d in (-1, 0, 1)}
+        cases += [(m, None)] + [(m, s) for s in sorted({0, 1} | {s for s in cuts if low < s <= high})]
+    return cases
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("which", ["zeta", "mobius"])
+@pytest.mark.parametrize("spec", list(GRID_VALUES))
+def test_matrix_output_matches_an_entry_by_entry_rendering(capsys, spec, which, fmt):
+    whole = grid_matrices(spec)[which]
+    order = level_major(grid_level_sizes(spec))
+    for levels, size in grid_blocks(spec):
+        vertices = sum(1 for _, p in order if p <= levels)
+        n = vertices if size is None else size
+        doc = {"sequence": spec, "levels": levels, "matrix": which,
+               "order": order[:n], "rows": leading(whole, n)}
+        argv = [which, spec, "--levels", str(levels), "--format", fmt]
+        argv += [] if size is None else ["--size", str(size)]
+        assert run(capsys, *argv) == (0, render(doc, fmt), ""), argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("spec", list(GRID_VALUES))
+def test_enumerated_chains_match_itertools_product(capsys, spec, fmt):
+    sizes = grid_level_sizes(spec)[:13]
+    spans = [(lo, hi) for lo in range(len(sizes)) for hi in range(lo, len(sizes))]
+    spans = [(lo, hi) for lo, hi in spans if math.prod(sizes[lo:hi + 1]) <= 5000]
+    assert len(spans) >= 6
+    for lo, hi in spans:
+        chains = chains_by_product(sizes, lo, hi)
+        doc = {"sequence": spec, "from": lo, "to": hi, "count": len(chains), "chains": chains}
+        argv = ["chains", spec, "--from", str(lo), "--to", str(hi), "--enumerate", "--format", fmt]
+        assert run(capsys, *argv) == (0, render(doc, fmt), ""), argv

@@ -236,8 +236,9 @@ def test_no_child_outlives_a_call(monkeypatch):
 
 @pytest.mark.parametrize("failing", ["caller", "child"])
 def test_a_failed_branch_search_raises_in_the_caller(monkeypatch, failing):
-    """A search that raises, in the caller or in a child, raises from the
-    call, and leaves no child behind.  The child's branch is the second."""
+    """A search that raises, in the caller or in a child, raises its own
+    type and message from the call, and leaves no child behind.  The
+    child's branch is the second."""
     monkeypatch.setattr(tiling, "_cpu_count", lambda: 2)
     inst = build_instance(parse_sequence("nat"), 1, 5)
     branches = tiling._orbits(inst, tiling._ExactCover(inst, inst.blocks.keys).root_branches())[0]
@@ -250,10 +251,20 @@ def test_a_failed_branch_search_raises_in_the_caller(monkeypatch, failing):
         return real_search(self, first, budget, cap)
 
     monkeypatch.setattr(tiling._ExactCover, "search", search)
-    expected = ZeroDivisionError if failing == "caller" else RuntimeError
-    with pytest.raises(expected):
+    with pytest.raises(ZeroDivisionError, match="^a search that fails$"):
         count_partitions(inst, jobs=2)
     assert_no_child_left()
+
+
+def test_a_child_error_is_raised_as_its_built_in_type():
+    """A child's exception comes back as its type name and message: a
+    built-in type is raised again, any other as a RuntimeError naming it."""
+    assert type(tiling._child_error(3, "MemoryError", "")) is MemoryError
+    err = tiling._child_error(3, "TilingBudgetError", "over")
+    assert (type(err), str(err)) == (
+        RuntimeError, "TilingBudgetError in the process searching root branch 3: over")
+    # A built-in that a message alone cannot make.
+    assert type(tiling._child_error(3, "UnicodeDecodeError", "bad byte")) is RuntimeError
 
 
 def test_children_leave_without_flushing_the_callers_output():
