@@ -1,8 +1,8 @@
 """Command-line frontend: one subcommand per module, text or JSON out.
 
 Each cmd_* handler returns (document, lines, code): the JSON document,
-the text lines, formatted only as they are printed, and the exit code.
-main alone prints one of the two answers and maps errors to exit codes.
+the text lines, formatted only as they are written, and the exit code.
+main alone streams one of the two answers and maps errors to exit codes.
 
 Exit codes: 0 for a computed answer (including negative verdicts), 1
 for domain errors, 2 for usage errors, 3 for inconclusive outcomes
@@ -42,21 +42,20 @@ from .tiling import (
     witness_to_json,
 )
 
-def _print_json(doc: dict) -> None:
-    """Print doc as json.dumps writes it.  A last value that is callable,
-    after at least one other, renders a JSON array itself: the call
-    returns the array's text in pieces, each written as it comes, with no
-    Python object per entry."""
+def _json_pieces(doc: dict):
+    """doc as json.dumps writes it, in pieces, newline last.  A last value
+    that is callable, after at least one other, renders a JSON array
+    itself: the call returns the array's text in pieces, passed on as they
+    come, with no Python object per entry."""
     key, last = next(reversed(doc.items()))
     if not callable(last):
-        print(json.dumps(doc))
-        return
-    head = json.dumps({k: v for k, v in doc.items() if k != key})[:-1]
-    write = sys.stdout.write
-    write(f"{head}, {json.dumps(key)}: ")
-    for piece in last():
-        write(piece)
-    write("}\n")
+        yield json.dumps(doc)
+    else:
+        head = json.dumps({k: v for k, v in doc.items() if k != key})[:-1]
+        yield f"{head}, {json.dumps(key)}: "
+        yield from last()
+        yield "}"
+    yield "\n"
 
 
 class _Labels(dict):
@@ -82,7 +81,7 @@ def _json_chains(chains: list) -> list[str]:
 
 
 def _lazy(template: str, *values):
-    """One text line, formatted only if it is printed."""
+    """One text line, formatted only if it is written."""
     yield template.format(*values)
 
 
@@ -146,8 +145,7 @@ def cmd_matrix(args: argparse.Namespace) -> tuple:
         "order": mat.order,
         "rows": mat.json_rows,
     }
-    # The dump ends in the newline that print adds.
-    return doc, (m.dump()[:-1] for m in [mat]), 0
+    return doc, mat.lines(), 0
 
 
 def cmd_chains(args: argparse.Namespace) -> tuple:
@@ -352,14 +350,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         document, lines, code = globals()[args.func](args)
+        pieces = _json_pieces(document) if args.format == "json" else (f"{line}\n" for line in lines)
+        out = sys.stdout  # None when started with stdout closed
         try:
-            if args.format == "json":
-                _print_json(document)
-            else:
-                for line in lines:
-                    print(line)
-            if sys.stdout is not None:  # None when started with stdout closed
-                sys.stdout.flush()  # a closed pipe shows here, not at exit
+            for piece in pieces:  # drained even unwritten: a budget error mid-answer sets the code
+                if out is not None:
+                    out.write(piece)
+            if out is not None:
+                out.flush()  # a closed pipe shows here, not at exit
         except BrokenPipeError:
             # The reader closed stdout.  Pointing it at the null device keeps
             # the interpreter's final flush quiet; 1 is Python's own EPIPE code.

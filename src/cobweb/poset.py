@@ -12,7 +12,7 @@ ascending within a level.  All matrix arithmetic is exact big-integer.
 The poset is an ordinal sum of antichains, so a zeta or Mobius entry
 depends only on the two vertices' levels and on whether they coincide:
 a matrix is kept as one row template per level, and its text is
-rendered from the templates rather than entry by entry.
+rendered from the templates a row at a time (lines, json_rows).
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ class IncidenceMatrix:
     The rows of one level are one string but for their diagonal 1: zeros
     up to the level's end, then runs of one value each over the higher
     levels.  ``levels`` holds, per level in the block, the span [start,
-    end) of its rows and the (value, count) runs to their right.  dump
+    end) of its rows and the (value, count) runs to their right.  lines
     and json_rows render every row from that by string repetition, and
     ``rows`` spells the entries out only when it is first read.
     """
@@ -98,10 +98,10 @@ class IncidenceMatrix:
             for i in range(start, end):
                 yield "".join((zero * i, "1", zero_after * (end - i - 1), tail))
 
-    def dump(self) -> str:
-        """Text form: a '# order:' header, then one row per line."""
-        header = "# order: " + " ".join(f"({j},{p})" for j, p in self.order)
-        return "\n".join([header, *self._rendered(" "), ""])
+    def lines(self) -> Iterator[str]:
+        """Text form, a line at a time: a '# order:' header, then one row per line."""
+        yield "# order: " + " ".join(f"({j},{p})" for j, p in self.order)
+        yield from self._rendered(" ")
 
     def json_rows(self) -> Iterator[str]:
         """The rows as json.dumps writes them, [[1, 0, ...], ...], one row

@@ -79,6 +79,7 @@ field of the outcome is the serial one.
 from __future__ import annotations
 
 import builtins
+import functools
 import itertools
 import marshal
 import math
@@ -154,12 +155,16 @@ class TilingInstance:
     sigma_policy: str
     level_sizes: tuple[int, ...]  # sizes of levels k..n
     block_size: int  # m_F!: chains per block
-    chains: tuple[tuple[int, ...], ...]  # per-level j indices, levels k..n
     blocks: Sequence[Block]  # a tuple, or _LazyBlocks from build_instance
+
+    @functools.cached_property
+    def chains(self) -> tuple[tuple[int, ...], ...]:
+        """The universe, derived on first read: per-level j indices, levels k..n."""
+        return tuple(itertools.product(*(range(1, s + 1) for s in self.level_sizes)))
 
     @property
     def universe_size(self) -> int:
-        return len(self.chains)
+        return math.prod(self.level_sizes)
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,6 @@ def build_instance(
         sigma_policy=sigma_policy,
         level_sizes=sizes,
         block_size=math.prod(base),
-        chains=tuple(itertools.product(*(range(1, s + 1) for s in sizes))),
         blocks=_LazyBlocks(sizes, keys),
     )
 
@@ -364,15 +368,15 @@ class _Chains(dict):
 def _chain_bits(keys: list[int], fields: list[tuple[int, int, int]]) -> list[int]:
     """Each chain's bitset over one root's blocks, bit q for keys[q] (see the module docstring).
 
-    Column p is bit p of every key.  The keys are written out in binary
-    _CHUNK at a time, and each chunk's columns, read backwards from its
-    last key, are shifted in at the chunk's first key.
+    Column p is bit p of every key.  _CHUNK keys at a time, the low sum(a_i) bits
+    of each go out in binary under a 1 that bin's "0b1" drops, and the chunk's
+    columns, read backwards from its last key, shift in at its first key.
     """
-    width = fields[0][1] + fields[0][0].bit_length()
-    pattern = f"0{width}b"
-    columns = [0] * sum(a for a, _, _ in fields)
+    width = sum(a for a, _, _ in fields)
+    top = 1 << width
+    mask, columns = top - 1, [0] * width
     for first in range(0, len(keys), _CHUNK):
-        text = "".join(map(format, keys[first:first + _CHUNK], itertools.repeat(pattern)))
+        text = "".join([bin(key & mask | top)[3:] for key in keys[first:first + _CHUNK]])
         for p in range(len(columns)):
             columns[p] |= int(text[len(text) - 1 - p::-width], 2) << first
     bits = [(1 << len(keys)) - 1]
@@ -894,8 +898,7 @@ def instance_from_json(doc: dict) -> TilingInstance:
     sizes = tuple(doc["level_sizes"])
     if len(sizes) != doc["n"] - doc["k"] + 1:
         raise ValueError(f"level sizes {sizes} do not span levels {doc['k']}..{doc['n']}")
-    chains = tuple(tuple(c) for c in doc["chains"])
-    if chains != tuple(itertools.product(*(range(1, s + 1) for s in sizes))):
+    if list(map(tuple, doc["chains"])) != list(itertools.product(*(range(1, s + 1) for s in sizes))):
         raise ValueError(f"chain list is not the product of the level ranges {sizes}")
     if doc["block_size"] < 1:
         raise ValueError(f"block size must be >= 1, got {doc['block_size']}")
@@ -929,7 +932,6 @@ def instance_from_json(doc: dict) -> TilingInstance:
         sigma_policy=policy,
         level_sizes=sizes,
         block_size=doc["block_size"],
-        chains=chains,
         blocks=tuple(blocks),
     )
 

@@ -168,12 +168,12 @@ class CountingSink(io.TextIOBase):
 
 @pytest.mark.parametrize("fmt, chars, bound", [
     ("json", 11_247_171, 2_000_000),
-    ("text", 8_690_308, 20_000_000),
+    ("text", 8_690_308, 2_000_000),
 ], ids=["json", "text"])
 def test_whole_matrix_memory_is_its_text(fmt, chars, bound):
-    # fib at 15 levels has 1596 vertices, so 2547216 entries.  JSON rows are
-    # written one at a time; the text form is one string, built from a
-    # list of its rows.  Built as one int per entry, either took over 40 MiB.
+    # fib at 15 levels has 1596 vertices, so 2547216 entries.  Rows are
+    # written one at a time in either form.  Built as one int per entry,
+    # either took over 40 MiB; the text form built as one string, 17.5 MB.
     sink = CountingSink()
     tracemalloc.start()
     try:
@@ -308,6 +308,48 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert proc.wait(timeout=60) == 1
     assert first == b"(1,1) (1,2) (1,3) (1,4) (1,5) (1,6) (1,7)\n"
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+CLOSED_STDOUT_CASES = [
+    ("zeta fib --levels 4", 0),
+    ("mobius nat --levels 3 --size 5", 0),
+    ("zeta fib --levels 18", 3),
+    ("chains nat --from 1 --to 4 --enumerate", 0),
+    # 9! chains: the enumeration refuses at its first chain, after main has
+    # started on the answer.
+    ("chains nat --from 1 --to 9 --enumerate", 3),
+    ("tile nat 1 3 --witness", 0),
+    ("tile nat 2 5 --count --witness --node-budget 5", 3),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("line, code", CLOSED_STDOUT_CASES, ids=[line for line, _ in CLOSED_STDOUT_CASES])
+def test_closed_stdout_still_computes_the_exit_code(line, code, fmt):
+    # Started with stdout closed, the interpreter's sys.stdout is None: the
+    # answer is computed, written nowhere, and exits with its own code.
+    src = str(pathlib.Path(cobweb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cobweb.cli", *line.split(), "--format", fmt],
+        stderr=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(1), timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_tile_universe_is_not_held_as_a_chain_list(capsys):
+    # nat 315 316: 99540 chains in one root's 316 singleton blocks.  Its
+    # tuple of chain tuples, built only to be counted, peaked at 10.0 MiB.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "tile", "nat", "315", "316")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "yes\n")
+    assert peak < 6 * 2**20
 
 
 def test_grid_outputs(capsys):

@@ -63,6 +63,8 @@ def test_universe_and_block_shape():
     inst = build_instance(parse_sequence("nat"), 1, 3)
     assert inst.level_sizes == (1, 2, 3)
     assert inst.universe_size == 6
+    assert inst.chains == tuple(itertools.product((1,), (1, 2), (1, 2, 3)))
+    assert instance_from_json(instance_to_json(inst)).chains == inst.chains  # derived, not stored
     assert inst.block_size == 2  # m_F! for m = 2 over nat
     assert len(inst.blocks) == 9
     for block in inst.blocks:
