@@ -1,8 +1,10 @@
 """Command-line frontend: one subcommand per module, text or JSON out.
 
 Each cmd_* handler returns (document, lines, code): the JSON document,
-the text lines, formatted only as they are written, and the exit code.
-main alone streams one of the two answers and maps errors to exit codes.
+the text lines and the exit code.  A long answer is an iterator of
+texts made as they are written: the lines, or the document's last value
+(see _json_pieces).  main alone streams one of the two answers and maps
+errors to exit codes.
 
 Exit codes: 0 for a computed answer (including negative verdicts), 1
 for domain errors, 2 for usage errors, 3 for inconclusive outcomes
@@ -17,6 +19,7 @@ import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from .diagonal import bell_sequence, whitney_rows
 from .dobinski import bell_dobinski, bell_exact
@@ -44,17 +47,20 @@ from .tiling import (
 
 def _json_pieces(doc: dict):
     """doc as json.dumps writes it, in pieces, newline last.  A last value
-    that is callable, after at least one other, renders a JSON array
-    itself: the call returns the array's text in pieces, passed on as they
-    come, with no Python object per entry."""
+    that is an iterator, after at least one other, is written as a JSON
+    array of arrays: each text it yields is the inside of one array, and
+    each array is a piece of its own."""
     key, last = next(reversed(doc.items()))
-    if not callable(last):
+    if not isinstance(last, Iterator):
         yield json.dumps(doc)
     else:
         head = json.dumps({k: v for k, v in doc.items() if k != key})[:-1]
-        yield f"{head}, {json.dumps(key)}: "
-        yield from last()
-        yield "}"
+        yield f"{head}, {json.dumps(key)}: ["
+        sep = "["
+        for entry in last:
+            yield f"{sep}{entry}]"
+            sep = ", ["
+        yield "]}"
     yield "\n"
 
 
@@ -75,16 +81,6 @@ def _chain_texts(chains, vertex: str, sep: str):
     return (join(map(label, chain)) for chain in chains)
 
 
-def _json_chains(chains: list) -> list[str]:
-    """The chains as json.dumps writes them, in one piece."""
-    return ["[[" + "], [".join(_chain_texts(chains, "[{}, {}]", ", ")) + "]]" if chains else "[]"]
-
-
-def _lazy(template: str, *values):
-    """One text line, formatted only if it is written."""
-    yield template.format(*values)
-
-
 def cmd_fnomial(args: argparse.Namespace) -> tuple:
     seq = parse_sequence(args.seq)
     doc = {"sequence": seq.name, "n": args.n, "k": args.k}
@@ -93,7 +89,7 @@ def cmd_fnomial(args: argparse.Namespace) -> tuple:
     except NonIntegralError as err:
         q = err.fraction
         doc.update(integer=False, value=str(q), numerator=q.numerator, denominator=q.denominator)
-        return doc, _lazy("non-integer: {}", doc["value"]), 0
+        return doc, [f"non-integer: {q}"], 0
     doc.update(integer=True, value=value)
     return doc, [value], 0
 
@@ -109,11 +105,11 @@ def cmd_admissible(args: argparse.Namespace) -> tuple:
         "failure": None,
     }
     if verdict.admissible:
-        return doc, _lazy("admissible up to {}", verdict.requested_bound), 0
+        return doc, [f"admissible up to {verdict.requested_bound}"], 0
     n, k = verdict.first_failure
     doc["failure"] = {"n": n, "k": k, "quotient": str(verdict.failure_quotient)}
     template = "not admissible: ({} {})_F = {}; admissible up to {}"
-    return doc, _lazy(template, n, k, doc["failure"]["quotient"], verdict.admissible_up_to), 0
+    return doc, [template.format(n, k, doc["failure"]["quotient"], verdict.admissible_up_to)], 0
 
 
 def cmd_gcdmorphic(args: argparse.Namespace) -> tuple:
@@ -127,11 +123,12 @@ def cmd_gcdmorphic(args: argparse.Namespace) -> tuple:
         "failure": None,
     }
     if verdict.gcd_morphic:
-        return doc, _lazy("gcd-morphic up to {}", verdict.requested_bound), 0
+        return doc, [f"gcd-morphic up to {verdict.requested_bound}"], 0
     n, m = verdict.first_failure
     doc["failure"] = {"n": n, "m": m, "gcd": verdict.gcd_value, "expected": verdict.expected}
     template = "not gcd-morphic: GCD(F_{}, F_{}) = {}, expected {}; morphic up to {}"
-    return doc, _lazy(template, n, m, verdict.gcd_value, verdict.expected, verdict.morphic_up_to), 0
+    line = template.format(n, m, verdict.gcd_value, verdict.expected, verdict.morphic_up_to)
+    return doc, [line], 0
 
 
 def cmd_matrix(args: argparse.Namespace) -> tuple:
@@ -143,9 +140,10 @@ def cmd_matrix(args: argparse.Namespace) -> tuple:
         "levels": args.levels,
         "matrix": args.which,
         "order": mat.order,
-        "rows": mat.json_rows,
+        "rows": mat.row_texts(", "),
     }
-    return doc, mat.lines(), 0
+    header = map("# order: {}".format, _chain_texts([mat.order], "({},{})", " "))
+    return doc, itertools.chain(header, mat.row_texts(" ")), 0
 
 
 def cmd_chains(args: argparse.Namespace) -> tuple:
@@ -155,12 +153,11 @@ def cmd_chains(args: argparse.Namespace) -> tuple:
     if not args.enumerate:
         doc["count"] = count = poset.count_max_chains(args.from_level, args.to_level)
         return doc, [count], 0
-    # The generator checks the span and the budget before its first
-    # chain, so a refused request prints nothing; text streams the chains.
+    # The span and the budget are checked here, before anything is
+    # written; either form then streams the chains.
     chains = poset.enumerate_max_chains(args.from_level, args.to_level, args.budget)
-    if args.format == "json":
-        chains = list(chains)
-        doc.update(count=len(chains), chains=functools.partial(_json_chains, chains))
+    doc["count"] = poset.count_max_chains(args.from_level, args.to_level)
+    doc["chains"] = _chain_texts(chains, "[{}, {}]", ", ")
     return doc, _chain_texts(chains, "({},{})", " "), 0
 
 
@@ -226,7 +223,7 @@ def cmd_tile(args: argparse.Namespace) -> tuple:
     count_line = ()
     if args.count:
         doc["count"] = {"status": result.status, "value": result.count}
-        count_line = _lazy(_COUNT_LINES[result.status], result.count)
+        count_line = [_COUNT_LINES[result.status].format(result.count)]
     doc["verdict"] = verdict = result.verdict
     witness = result.witness if args.witness else None
     if witness is not None:
@@ -244,8 +241,7 @@ def cmd_bell_classic(args: argparse.Namespace) -> tuple:
     approx = bell_dobinski(args.n, args.dobinski)
     rel_err = abs(approx - value) / value if value else 0.0
     doc.update(dobinski=approx, rel_err=rel_err)
-    dobinski_line = _lazy("dobinski: {!r} (rel_err {:.3e})", approx, rel_err)
-    return doc, itertools.chain([value], dobinski_line), 0
+    return doc, [value, f"dobinski: {approx!r} (rel_err {rel_err:.3e})"], 0
 
 
 @functools.cache

@@ -11,8 +11,8 @@ Matrices use the level-major vertex order: levels ascending, index j
 ascending within a level.  All matrix arithmetic is exact big-integer.
 The poset is an ordinal sum of antichains, so a zeta or Mobius entry
 depends only on the two vertices' levels and on whether they coincide:
-a matrix is kept as one row template per level, and its text is
-rendered from the templates a row at a time (lines, json_rows).
+a matrix is kept as one row template per level, and its rows' text is
+rendered from the templates a row at a time (row_texts).
 """
 from __future__ import annotations
 
@@ -68,8 +68,8 @@ class IncidenceMatrix:
     The rows of one level are one string but for their diagonal 1: zeros
     up to the level's end, then runs of one value each over the higher
     levels.  ``levels`` holds, per level in the block, the span [start,
-    end) of its rows and the (value, count) runs to their right.  lines
-    and json_rows render every row from that by string repetition, and
+    end) of its rows and the (value, count) runs to their right.
+    row_texts renders every row from that by string repetition, and
     ``rows`` spells the entries out only when it is first read.
     """
 
@@ -90,27 +90,13 @@ class IncidenceMatrix:
                 rows.append(tuple(row))
         return tuple(rows)
 
-    def _rendered(self, sep: str) -> Iterator[str]:
-        """Each row's entries in decimal, joined by sep."""
+    def row_texts(self, sep: str) -> Iterator[str]:
+        """Each row's entries in decimal, joined by sep, a row at a time."""
         zero, zero_after = f"0{sep}", f"{sep}0"
         for start, end, runs in self.levels:
             tail = "".join(f"{sep}{value}" * count for value, count in runs)
             for i in range(start, end):
                 yield "".join((zero * i, "1", zero_after * (end - i - 1), tail))
-
-    def lines(self) -> Iterator[str]:
-        """Text form, a line at a time: a '# order:' header, then one row per line."""
-        yield "# order: " + " ".join(f"({j},{p})" for j, p in self.order)
-        yield from self._rendered(" ")
-
-    def json_rows(self) -> Iterator[str]:
-        """The rows as json.dumps writes them, [[1, 0, ...], ...], one row
-        to a piece, so that no piece holds more than a row."""
-        sep = "["
-        for row in self._rendered(", "):
-            yield f"{sep}[{row}]"
-            sep = ", "
-        yield "]" if sep == ", " else "[]"
 
 
 class CobwebPoset:
@@ -136,14 +122,13 @@ class CobwebPoset:
         sizes[0] = 1  # the root level
         return tuple(sizes)
 
-    @functools.cached_property
-    def _starts(self) -> tuple[int, ...]:
-        """The level-major index of each level's first vertex, and the vertex count last."""
-        return tuple(itertools.accumulate(self.level_sizes, initial=0))
+    def _sizes(self, levels: Iterable[int]) -> Iterator[int]:
+        """The sizes of the given levels, each read when it is reached."""
+        return (self.seq.value(p) if p else 1 for p in levels)
 
     @property
     def vertex_count(self) -> int:
-        return self._starts[-1]
+        return sum(self.level_sizes)
 
     # --- chain counting ------------------------------------------------------
 
@@ -167,21 +152,22 @@ class CobwebPoset:
     def enumerate_max_chains(
         self, from_level: int, to_level: int, budget: int | None = None
     ) -> Iterator[tuple[Vertex, ...]]:
-        """Yield each saturated chain over the span exactly once.
+        """Each saturated chain over the span exactly once, as an iterator.
 
-        Chains come out in lexicographic order of vertex indices (a
-        depth-first walk of the covering relation).
+        The span and the budget are checked by this call, before any chain
+        is made.  Chains come out in lexicographic order of vertex indices:
+        they are the product of the level vertex sets.
         """
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
         self._check_span(from_level, to_level)
         levels = range(from_level, to_level + 1)
-        bound = product_past((self.seq.value(p) if p else 1 for p in levels), budget)
+        bound = product_past(self._sizes(levels), budget)
         if bound > budget:
             raise EnumerationBudgetError(bound, budget, at_least=True)
         sizes = self.level_sizes[from_level:to_level + 1]
         vertices = ([(j, p) for j in range(1, a + 1)] for p, a in zip(levels, sizes))
-        yield from itertools.product(*vertices)
+        return itertools.product(*vertices)
 
     def count_chains_of_length(self, t: int) -> int:
         """Strictly increasing chains with exactly t elements.
@@ -201,33 +187,48 @@ class CobwebPoset:
     # --- incidence algebra ---------------------------------------------------
 
     def _level_matrix(
-        self, above: Callable[[int, int], Iterable[tuple[int, int]]], size: int | None
+        self, above: Callable[[list[int], int], Iterable[tuple[int, int]]], size: int | None
     ) -> IncidenceMatrix:
         """The leading size x size block (all of it when size is None) of the
         level-major matrix with 1 on the diagonal, 0 within and below a
         vertex's level, and above the level of row p the runs that
-        above(p, top) yields: (value, n) puts value in every column of the
+        above(sizes, p) yields for the sizes of levels 0 .. top, the highest
+        level the block meets: (value, n) puts value in every column of the
         next n levels, and the runs cover levels p + 1 .. top in order.
 
-        The block is kept by level, and only when its size * size entries
-        fit MATRIX_ENTRY_BUDGET.
+        Level sizes are read only until they cover the block, or for the
+        whole matrix until they pass the entry budget; the block is kept by
+        level, and only when its size * size entries fit MATRIX_ENTRY_BUDGET.
         """
+        wanted = math.isqrt(MATRIX_ENTRY_BUDGET) + 1 if size is None else size
+        unread = self._sizes(range(self.max_level + 1))
+        sizes, total = [], 0
+        for a in unread:
+            sizes.append(a)
+            total += a
+            if total >= wanted:
+                break
         if size is None:
-            size = self.vertex_count
-        elif not 0 <= size <= self.vertex_count:
-            raise ValueError(f"size must be between 0 and {self.vertex_count}, got {size}")
+            size = total
+            if len(sizes) <= self.max_level:  # levels left unread: size is a lower bound
+                raise EnumerationBudgetError(
+                    size * size, MATRIX_ENTRY_BUDGET, "matrix entries", at_least=True
+                )
+        elif not 0 <= size <= total:
+            raise ValueError(f"size must be between 0 and {total + sum(unread)}, got {size}")
         if size * size > MATRIX_ENTRY_BUDGET:
             raise EnumerationBudgetError(size * size, MATRIX_ENTRY_BUDGET, "matrix entries")
-        bounds = [s for s in self._starts if s < size] + [size]  # each level's rows in the block
-        top = len(bounds) - 2  # the highest level the block meets
+        starts = itertools.accumulate(sizes, initial=0)
+        bounds = [s for s in starts if s < size] + [size]  # each level's rows in the block
+        sizes = sizes[:len(bounds) - 1]  # levels 0 .. top
         levels = []
-        for p in range(top + 1):
+        for p in range(len(sizes)):
             runs, q = [], p + 1
-            for value, n in above(p, top):
+            for value, n in above(sizes, p):
                 runs.append((value, bounds[q + n] - bounds[q]))
                 q += n
             levels.append((bounds[p], bounds[p + 1], tuple(runs)))
-        vertices = ((j, p) for p, a in enumerate(self.level_sizes) for j in range(1, a + 1))
+        vertices = ((j, p) for p, a in enumerate(sizes) for j in range(1, a + 1))
         return IncidenceMatrix(tuple(itertools.islice(vertices, size)), tuple(levels))
 
     def zeta_matrix(self, size: int | None = None) -> IncidenceMatrix:
@@ -236,7 +237,7 @@ class CobwebPoset:
         Unit upper-triangular because the order is a linear extension.
         ``size`` asks for the leading size x size block only.
         """
-        return self._level_matrix(lambda p, top: [(1, top - p)] if p < top else [], size)
+        return self._level_matrix(lambda sizes, p: [(1, len(sizes) - 1 - p)], size)
 
     def mobius_matrix(self, size: int | None = None) -> IncidenceMatrix:
         """The Mobius matrix (the inverse of zeta) in closed form.
@@ -247,10 +248,9 @@ class CobwebPoset:
         zero from the first level of one vertex on.
         ``size`` asks for the leading size x size block only.
         """
-        sizes = self.level_sizes
 
-        def above(p: int, top: int) -> Iterator[tuple[int, int]]:
-            mu = -1
+        def above(sizes: list[int], p: int) -> Iterator[tuple[int, int]]:
+            mu, top = -1, len(sizes) - 1
             for q in range(p + 1, top + 1):
                 if not mu:
                     yield 0, top + 1 - q

@@ -267,6 +267,55 @@ def test_chains_refused_json_prints_nothing(capsys):
     assert "inconclusive" in err and "at least 615195 chains" in err
 
 
+class PieceSink(io.TextIOBase):
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, s):
+        self.pieces.append(s)
+        return len(s)
+
+
+def test_chains_enumerate_json_holds_no_chain_list():
+    # 8! chains.  Held in a list to be counted and written as one string,
+    # they peaked at 11.7 MiB; the count is the product of the level sizes.
+    sink = CountingSink()
+    argv = ["chains", "nat", "--from", "1", "--to", "8", "--enumerate", "--format", "json"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["chains", "nat", "--from", "1", "--to", "8", "--enumerate"],
+    ["zeta", "fib", "--levels", "13"],
+], ids=["chains", "zeta"])
+def test_json_arrays_are_written_an_entry_at_a_time(argv):
+    sink = PieceSink()
+    with contextlib.redirect_stdout(sink):
+        assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads("".join(sink.pieces))
+    key = list(doc)[-1]
+    entries = doc[key]
+    if key == "chains":
+        assert doc["count"] == len(entries) == 40320
+    head = json.dumps({**doc, key: []})
+    assert max(map(len, sink.pieces)) <= len(head) + max(len(json.dumps(e)) for e in entries)
+
+
+def test_empty_matrix_block_json(capsys):
+    out = '{"sequence": "fib", "levels": 3, "matrix": "zeta", "order": [], "rows": []}\n'
+    assert run(capsys, "zeta", "fib", "--levels", "3", "--size", "0", "--format", "json") == (0, out, "")
+
+
 def test_chains_enumerate_streams(capsys, monkeypatch):
     # Each chain is printed before the next one is generated.
     real = CobwebPoset.enumerate_max_chains
@@ -315,8 +364,8 @@ CLOSED_STDOUT_CASES = [
     ("mobius nat --levels 3 --size 5", 0),
     ("zeta fib --levels 18", 3),
     ("chains nat --from 1 --to 4 --enumerate", 0),
-    # 9! chains: the enumeration refuses at its first chain, after main has
-    # started on the answer.
+    # 9! chains: the enumeration is refused when the handler asks for it,
+    # before the answer starts.
     ("chains nat --from 1 --to 9 --enumerate", 3),
     ("tile nat 1 3 --witness", 0),
     ("tile nat 2 5 --count --witness --node-budget 5", 3),
@@ -771,14 +820,20 @@ def test_refusal_stops_multiplying_at_the_budget(capsys, argv):
     assert "at least 2227680" in err and len(err) < 1000
 
 
-def refusal_peak(capsys, *argv):
-    """The tracemalloc peak of a run that the universe or enumeration budget refuses."""
+def traced_run(capsys, *argv):
+    """run's (code, out, err), and the tracemalloc peak of the run last."""
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, out, err, peak
+
+
+def refusal_peak(capsys, *argv):
+    """The tracemalloc peak of a run that the universe or enumeration budget refuses."""
+    code, out, err, peak = traced_run(capsys, *argv)
     assert (code, out) == (3, "")
     assert "at least 2227680" in err
     return peak
@@ -793,6 +848,26 @@ def test_chains_refusal_reads_only_the_levels_it_multiplies(capsys):
     # Reading all 30001 Fibonacci level sizes first peaked at 82.3 MiB.
     argv = ["chains", "fib", "--from", "0", "--to", "30000", "--enumerate"]
     assert refusal_peak(capsys, *argv) < 4 * 2**20
+
+
+def test_matrix_block_reads_only_the_levels_it_needs(capsys):
+    # Reading all 30001 Fibonacci level sizes first peaked at 81.6 MiB.
+    code, out, err, peak = traced_run(capsys, "zeta", "fib", "--levels", "30000", "--size", "4")
+    assert (code, err) == (0, "")
+    assert out == "# order: (1,0) (1,1) (1,2) (1,3)\n1 1 1 1\n0 1 1 1\n0 0 1 1\n0 0 0 1\n"
+    assert peak < 4 * 2**20
+
+
+def test_whole_matrix_refusal_reads_only_the_levels_it_needs(capsys):
+    # Levels 0..18 already hold 6765 > isqrt(20000000) vertices; reading
+    # all 30001 level sizes first peaked at 81.6 MiB.
+    code, out, err, peak = traced_run(capsys, "mobius", "fib", "--levels", "30000")
+    assert (code, out) == (3, "")
+    assert err == (
+        "inconclusive: enumeration would visit at least 45765225 matrix entries,"
+        " over the budget of 20000000\n"
+    )
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("argv", [

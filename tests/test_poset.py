@@ -116,9 +116,11 @@ def test_fib_zeta_fixture_file():
     import pathlib
 
     path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "fib_zeta_16.txt"
-    dumped = "".join(line + "\n" for line in poset("fib", 6).zeta_matrix(16).lines())
-    assert path.read_text() == dumped
-    lines = dumped.splitlines()
+    z = poset("fib", 6).zeta_matrix(16)
+    header = "# order: " + " ".join(f"({j},{p})" for j, p in z.order)
+    text = path.read_text()
+    assert text == "".join(line + "\n" for line in [header, *z.row_texts(" ")])
+    lines = text.splitlines()
     assert lines[0].startswith("# order: (1,0) (1,1) (1,2)")
     assert [[int(x) for x in line.split()] for line in lines[1:]] == FIB_ZETA_16
 
@@ -275,8 +277,10 @@ def test_single_level_poset():
 
 
 def test_dump_round_trip_by_eye():
-    d = "".join(line + "\n" for line in poset("nat", 1).zeta_matrix().lines())
-    assert d == "# order: (1,0) (1,1)\n1 1\n0 1\n"
+    z = poset("nat", 1).zeta_matrix()
+    assert z.order == ((1, 0), (1, 1))
+    assert list(z.row_texts(" ")) == ["1 1", "0 1"]
+    assert list(z.row_texts(", ")) == ["1, 1", "0, 1"]
 
 
 def test_mat_mul_small():
