@@ -40,8 +40,8 @@ def fnomial_coefficient(seq: "AdmissibleSequence", n: int, k: int) -> int:
         raise ValueError(f"fnomial needs 0 <= k <= n, got k={k}, n={n}")
     seq.value(n)  # a sequence that ends before n fails here, even when j = 0
     j = min(k, n - k)
-    num = math.prod(seq.value(n - i) for i in range(j))
-    den = math.prod(seq.value(i) for i in range(1, j + 1))
+    num = math.prod(seq.run(n - j + 1, n))
+    den = math.prod(seq.run(1, j))
     q, r = divmod(num, den)
     if r:
         raise NonIntegralError(n, k, Fraction(num, den))

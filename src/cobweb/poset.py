@@ -12,7 +12,8 @@ ascending within a level.  All matrix arithmetic is exact big-integer.
 The poset is an ordinal sum of antichains, so a zeta or Mobius entry
 depends only on the two vertices' levels and on whether they coincide:
 a matrix is kept as one row template per level, and its rows' text is
-rendered from the templates a row at a time (row_texts).
+rendered from the templates a row at a time (row_texts).  Level sizes
+are read lazily (CobwebPoset.sizes), only as far as an answer needs them.
 """
 from __future__ import annotations
 
@@ -114,17 +115,14 @@ class CobwebPoset:
         self.seq = seq
         self.max_level = max_level
 
-    @functools.cached_property
+    @property
     def level_sizes(self) -> tuple[int, ...]:
-        """1, F_1, ..., F_max_level, read on first use, so that a refused
-        enumeration reads only the level sizes it multiplies."""
-        sizes = self.seq.values(self.max_level)
-        sizes[0] = 1  # the root level
-        return tuple(sizes)
+        """1, F_1, ..., F_max_level."""
+        return tuple(self.sizes(0, self.max_level))
 
-    def _sizes(self, levels: Iterable[int]) -> Iterator[int]:
-        """The sizes of the given levels, each read when it is reached."""
-        return (self.seq.value(p) if p else 1 for p in levels)
+    def sizes(self, lo: int, hi: int) -> Iterator[int]:
+        """The sizes of levels lo..hi, read lazily from one run; F_0 = 0 is the root's 1."""
+        return (a or 1 for a in self.seq.run(lo, hi))
 
     @property
     def vertex_count(self) -> int:
@@ -138,7 +136,7 @@ class CobwebPoset:
         Complete bipartite covers make this the product of the level sizes.
         """
         self._check_span(from_level, to_level)
-        return math.prod(self.level_sizes[from_level:to_level + 1])
+        return math.prod(self.sizes(from_level, to_level))
 
     def _check_span(self, from_level: int, to_level: int) -> None:
         for p in (from_level, to_level):
@@ -160,13 +158,14 @@ class CobwebPoset:
         """
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
         self._check_span(from_level, to_level)
-        levels = range(from_level, to_level + 1)
-        bound = product_past(self._sizes(levels), budget)
+        bound = product_past(self.sizes(from_level, to_level), budget)
         if bound > budget:
             raise EnumerationBudgetError(bound, budget, at_least=True)
-        sizes = self.level_sizes[from_level:to_level + 1]
-        vertices = ([(j, p) for j in range(1, a + 1)] for p, a in zip(levels, sizes))
+        levels = enumerate(self.sizes(from_level, to_level), start=from_level)
+        vertices = ([(j, p) for j in range(1, a + 1)] for p, a in levels)
         return itertools.product(*vertices)
 
     def count_chains_of_length(self, t: int) -> int:
@@ -201,7 +200,7 @@ class CobwebPoset:
         level, and only when its size * size entries fit MATRIX_ENTRY_BUDGET.
         """
         wanted = math.isqrt(MATRIX_ENTRY_BUDGET) + 1 if size is None else size
-        unread = self._sizes(range(self.max_level + 1))
+        unread = self.sizes(0, self.max_level)
         sizes, total = [], 0
         for a in unread:
             sizes.append(a)

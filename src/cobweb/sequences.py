@@ -2,7 +2,8 @@
 
 An admissible sequence has F_0 = 0 and F_n >= 1 for every n >= 1.  Level p
 of the associated poset holds F_p vertices, so a zero anywhere past the
-root would tear the poset apart.
+root would tear the poset apart.  Every run of values is read lazily by
+AdmissibleSequence.run, which forms each Fibonacci number by one addition.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ class AdmissibleSequence:
     """A sequence F with F_0 = 0 and F_n >= 1 for all n >= 1.
 
     ``value(n)`` is a pure function of ``n``, evaluated on every call and
-    kept nowhere; a caller that needs a run of values reads it once as a
-    list from ``values``.  Explicit-list sequences carry a finite
-    ``length`` and reject indices beyond it.
+    kept nowhere; a caller that needs consecutive values reads them from
+    ``run``, one at a time, or from ``values`` as one list.  Explicit-list
+    sequences carry a finite ``length`` and reject indices beyond it.
     """
 
     def __init__(
@@ -48,19 +49,21 @@ class AdmissibleSequence:
             )
         return self._checked(n, self._fn(n)) if n else 0
 
-    def values(self, upto: int) -> list[int]:
-        """[F_0, F_1, ..., F_upto].
+    def run(self, lo: int, hi: int) -> Iterator[int]:
+        """F_lo, ..., F_hi, each formed when reached: with a ``step``, every
+        value past the first two comes from the two before it.  A list that
+        ends before hi fails at its first missing index."""
+        a = b = 0  # F_(n-2), F_(n-1)
+        for n in range(lo, hi + 1):
+            if self._step is None or n < lo + 2:
+                a, b = b, self.value(n)
+            else:
+                a, b = b, self._checked(n, self._step(a, b))
+            yield b
 
-        A sequence with a ``step`` forms each value past F_1 from the
-        two before it (one addition for fib) instead of evaluating its
-        closed form once per index.
-        """
-        if self._step is None or upto < 2:
-            return [self.value(n) for n in range(upto + 1)]
-        out = [0, self.value(1)]
-        for n in range(2, upto + 1):
-            out.append(self._checked(n, self._step(out[-2], out[-1])))
-        return out
+    def values(self, upto: int) -> list[int]:
+        """[F_0, F_1, ..., F_upto]."""
+        return list(self.run(0, upto))
 
     def _checked(self, n: int, v: int) -> int:
         if v < 1:
@@ -94,7 +97,7 @@ _BUILTINS: dict[str, Callable[[int], int]] = {
     "div3": lambda n: 1 if n == 1 else 3 * (n - 1),
 }
 
-# Recurrences for runs of consecutive values (see AdmissibleSequence.values).
+# Recurrences for runs of consecutive values (see AdmissibleSequence.run).
 _STEPS: dict[str, Callable[[int, int], int]] = {"fib": operator.add}
 
 _GRAMMAR = "nat | fib | const:<c> | gauss:<q> | even1 | odd | div3 | list:[v1,v2,...]"
@@ -214,8 +217,7 @@ def gcd_morphism_failures(seq: AdmissibleSequence, bound: int) -> Iterator[tuple
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     f = [0]
-    for n in range(1, bound + 1):
-        fn = seq.value(n)  # row by row: a list shorter than bound fails only on reaching its end
+    for n, fn in enumerate(seq.run(1, bound), start=1):  # a short list fails at its end
         f.append(fn)
         for m in range(1, n + 1):
             got = math.gcd(fn, f[m])

@@ -89,7 +89,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn
 
-from .poset import product_past
+from .poset import CobwebPoset, product_past
 from .sequences import is_cobweb_admissible
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; .sequences at run time is a cycle
@@ -220,18 +220,14 @@ def build_instance(
         universe_budget = DEFAULT_UNIVERSE_BUDGET
     if block_budget is None:
         block_budget = DEFAULT_BLOCK_BUDGET
+    if min(universe_budget, block_budget) < 0:
+        raise ValueError(f"need budgets >= 0, got universe {universe_budget}, block {block_budget}")
 
-    m = n - k
-    if seq.length is not None:
-        seq.values(n)  # a list that ends before n fails at its first missing level, before any budget
-    levels = (seq.value(p) if p else 1 for p in range(k, n + 1))  # level 0 is the root
-    universe_bound = product_past(levels, universe_budget)
+    poset = CobwebPoset(seq, n)  # a list that ends before n fails here, before any budget
+    universe_bound = product_past(poset.sizes(k, n), universe_budget)
     if universe_bound > universe_budget:
         raise TilingBudgetError("universe", universe_bound, universe_budget, at_least=True)
-
-    f = seq.values(n)
-    f[0] = 1  # the root level
-    sizes = tuple(f[k:])
+    sizes = tuple(poset.sizes(k, n))
 
     verdict = is_cobweb_admissible(seq, n)
     if not verdict.admissible:
@@ -241,7 +237,7 @@ def build_instance(
             f"({fn} {fk})_F = {verdict.failure_quotient}"
         )
 
-    base = f[1:m + 1]
+    base = list(seq.run(1, n - k))
     if sigma_policy == "identity":
         size_tuples = [tuple(base)]
     else:
@@ -339,7 +335,9 @@ class _LazyBlocks(Sequence):
         return self.level_sizes[0] * len(self.keys)
 
     def __getitem__(self, b):
-        b = range(len(self))[b]  # negative indices and IndexError as a tuple has them
+        b = range(len(self))[b]  # negative indices, slices and IndexError as a tuple has them
+        if isinstance(b, range):
+            return tuple(map(self.__getitem__, b))
         root, q = divmod(b, len(self.keys))
         s = _subsets(self.keys[q], self.fields)
         return Block(root + 1, tuple(map(len, s)), s, _members(self.level_sizes, root + 1, s))

@@ -1,6 +1,7 @@
 """Exit codes, text formats, and JSON schema of the command line."""
 import contextlib
 import dataclasses
+import decimal
 import functools
 import io
 import itertools
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -868,6 +870,51 @@ def test_whole_matrix_refusal_reads_only_the_levels_it_needs(capsys):
         " over the budget of 20000000\n"
     )
     assert peak < 4 * 2**20
+
+
+def cli_subprocess(argv, timeout, address_space=None):
+    """One `python -m cobweb.cli` run in a child process, under a wall limit
+    and, when given, an address-space limit set on that child only."""
+    src = str(pathlib.Path(cobweb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cobweb.cli", *argv], capture_output=True, env=env,
+        timeout=timeout, preexec_fn=None if address_space is None else limit,
+    )
+
+
+def test_whole_matrix_size_error_sums_the_levels_by_additions():
+    # The message spells out 1 + F_1 + ... + F_300000 = F_300002, 62697
+    # digits.  Reading each level size by fast doubling ran past 150 s.
+    proc = cli_subprocess(["zeta", "fib", "--levels", "300000", "--size", "-1"], timeout=10)
+    vertices = decimal.Decimal(parse_sequence("fib").value(300002))  # str(int) stops at 4300 digits
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"error: size must be between 0 and {vertices}, got -1\n"
+
+
+def test_chain_count_reads_only_the_levels_it_multiplies():
+    # Slicing a tuple of all 300001 level sizes died with a MemoryError
+    # under this 1 GiB limit.
+    argv = ["chains", "fib", "--from", "299999", "--to", "300000"]
+    proc = cli_subprocess(argv, timeout=20, address_space=2**30)
+    fib = parse_sequence("fib")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == f"{decimal.Decimal(fib.value(299999) * fib.value(300000))}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("chains nat --from 0 --to 3 --enumerate --budget -1", "error: budget must be >= 0, got -1\n"),
+    ("tile nat 1 3 --universe-budget -1", "error: need budgets >= 0, got universe -1, block 1000000\n"),
+    ("tile nat 1 3 --block-budget -1", "error: need budgets >= 0, got universe 100000, block -1\n"),
+], ids=["budget", "universe-budget", "block-budget"])
+def test_negative_budgets_are_domain_errors(capsys, argv, err):
+    # A budget below 0 is a bad request (1), not a refusal "at least 1 ...
+    # over the budget of -1" (3).
+    assert run(capsys, *argv.split()) == (1, "", err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -52,6 +52,34 @@ def test_fib_runs_agree_with_lone_values():
     assert [parse_sequence("fib").values(n) for n in (0, 1, 2)] == [[0], [0, 1], [0, 1, 1]]
 
 
+FAMILIES = st.one_of(
+    st.sampled_from(["nat", "fib", "even1", "odd", "div3"]),
+    st.builds("const:{}".format, st.integers(1, 4)),
+    st.builds("gauss:{}".format, st.integers(1, 4)),
+    st.lists(st.integers(1, 9), max_size=8).map(lambda vs: f"list:[{','.join(map(str, vs))}]"),
+)
+
+
+@given(spec=FAMILIES, lo=st.integers(0, 300), width=st.integers(-2, 40))
+@settings(max_examples=300, deadline=None)
+def test_runs_are_lone_values_in_order(spec, lo, width):
+    """run(lo, hi) reads F_lo..F_hi as value() does, also for hi - lo < 2; a
+    list's run yields its values, then fails at its first missing index."""
+    seq = parse_sequence(spec)
+    hi = lo + width
+    end = hi if seq.length is None else min(hi, seq.length)  # the last index that exists
+    missing = max(lo, end + 1)
+    run = seq.run(lo, hi)
+    assert [next(run) for _ in range(lo, end + 1)] == [seq.value(p) for p in range(lo, end + 1)]
+    if missing <= hi:
+        with pytest.raises(ValueError, match=f"defines values for n <= {seq.length}, got {missing}$"):
+            next(run)
+    else:
+        assert next(run, None) is None
+    if end == hi:
+        assert seq.values(hi) == list(seq.run(0, hi))
+
+
 def test_gauss_base_one_is_nat():
     q1 = parse_sequence("gauss:1")
     nat = parse_sequence("nat")

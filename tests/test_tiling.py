@@ -516,6 +516,8 @@ def test_lazy_blocks_behave_as_their_tuple():
     for b in (60, -61):
         with pytest.raises(IndexError):
             blocks[b]
+    for s in (slice(1, 3), slice(None, None, -7), slice(None, 0)):
+        assert type(blocks[s]) is tuple and blocks[s] == eager[s]
     assert blocks == eager and eager == blocks
     assert blocks != eager[:-1] and eager[:-1] != blocks
     assert inst == copy and copy == inst
