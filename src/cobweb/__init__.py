@@ -18,8 +18,8 @@ from .sequences import (
 )
 from .fnomial import NonIntegralError, fnomial_coefficient
 from .poset import (
+    BudgetError,
     CobwebPoset,
-    EnumerationBudgetError,
     IncidenceMatrix,
     DEFAULT_ENUMERATION_BUDGET,
 )
@@ -33,7 +33,6 @@ from .layer_grid import (
 from .diagonal import bell_sequence, whitney
 from .tiling import (
     Block,
-    TilingBudgetError,
     TilingCountResult,
     TilingInstance,
     TilingSearchResult,
@@ -60,8 +59,8 @@ __all__ = [
     "parse_sequence",
     "NonIntegralError",
     "fnomial_coefficient",
+    "BudgetError",
     "CobwebPoset",
-    "EnumerationBudgetError",
     "IncidenceMatrix",
     "DEFAULT_ENUMERATION_BUDGET",
     "bell_like",
@@ -72,7 +71,6 @@ __all__ = [
     "bell_sequence",
     "whitney",
     "Block",
-    "TilingBudgetError",
     "TilingCountResult",
     "TilingInstance",
     "TilingSearchResult",

@@ -31,19 +31,14 @@ from .layer_grid import (
     whitney_first,
     whitney_second,
 )
-from .poset import CobwebPoset, EnumerationBudgetError
+from .poset import BudgetError, CobwebPoset
 from .sequences import (
     SequenceSpecError,
     is_cobweb_admissible,
     is_gcd_morphic,
     parse_sequence,
 )
-from .tiling import (
-    TilingBudgetError,
-    build_instance,
-    count_partitions,
-    witness_to_json,
-)
+from .tiling import build_instance, count_partitions, witness_to_json
 
 def _json_pieces(doc: dict):
     """doc as json.dumps writes it, in pieces, newline last.  A last value
@@ -363,7 +358,7 @@ def main(argv=None) -> int:
     except SequenceSpecError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (EnumerationBudgetError, TilingBudgetError) as err:
+    except BudgetError as err:
         print(f"inconclusive: {err}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as err:

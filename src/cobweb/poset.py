@@ -33,33 +33,21 @@ DEFAULT_ENUMERATION_BUDGET = 100_000
 MATRIX_ENTRY_BUDGET = 20_000_000
 
 
-class EnumerationBudgetError(RuntimeError):
-    """An enumeration that would exceed its budget.
+class BudgetError(RuntimeError):
+    """A request whose size exceeds its budget, refused before it is built.
 
-    ``predicted`` is the exact size or, when ``at_least``, a lower bound
-    on it that already exceeds the budget (see product_past).
+    ``predicted`` is the size in ``unit`` (chains, matrix entries,
+    universe chains, candidate blocks) or, when ``at_least``, a lower
+    bound on it that already exceeds the budget: levels were left unread.
     """
 
-    def __init__(self, predicted: int, budget: int, unit: str = "chains", at_least: bool = False):
+    def __init__(self, unit: str, predicted: int, budget: int, at_least: bool = False):
+        self.unit = unit
         self.predicted = predicted
         self.budget = budget
+        self.at_least = at_least
         size = f"at least {predicted}" if at_least else predicted
-        super().__init__(f"enumeration would visit {size} {unit}, over the budget of {budget}")
-
-
-def product_past(factors, bound: int) -> int:
-    """The product of factors >= 1, multiplied only until it passes bound.
-
-    The result exceeds bound iff the whole product does, and is then a
-    lower bound on it, so a refusal costs no more than the budget it
-    checks: the product of 3000 Fibonacci numbers has 940,000 digits.
-    """
-    product = 1
-    for f in factors:
-        product *= f
-        if product > bound:
-            break
-    return product
+        super().__init__(f"{size} {unit} exceed the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +112,25 @@ class CobwebPoset:
         """The sizes of levels lo..hi, read lazily from one run; F_0 = 0 is the root's 1."""
         return (a or 1 for a in self.seq.run(lo, hi))
 
+    def span_sizes(self, lo: int, hi: int, budget: int, unit: str) -> tuple[int, ...]:
+        """The sizes of levels lo..hi, if their product fits budget.
+
+        The product counts the saturated chains over the span.  Sizes are
+        read once and multiplied as they are read; the first running
+        product past budget is refused (BudgetError in unit) with no
+        further level read, so a refusal costs no more than the budget it
+        checks: the product of 3000 Fibonacci numbers has 940,000 digits.
+        """
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        sizes, product = [], 1
+        for a in self.sizes(lo, hi):
+            sizes.append(a)
+            product *= a
+            if product > budget:
+                raise BudgetError(unit, product, budget, at_least=len(sizes) <= hi - lo)
+        return tuple(sizes)
+
     @property
     def vertex_count(self) -> int:
         return sum(self.level_sizes)
@@ -158,13 +165,9 @@ class CobwebPoset:
         """
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
         self._check_span(from_level, to_level)
-        bound = product_past(self.sizes(from_level, to_level), budget)
-        if bound > budget:
-            raise EnumerationBudgetError(bound, budget, at_least=True)
-        levels = enumerate(self.sizes(from_level, to_level), start=from_level)
+        sizes = self.span_sizes(from_level, to_level, budget, "chains")
+        levels = enumerate(sizes, start=from_level)
         vertices = ([(j, p) for j in range(1, a + 1)] for p, a in levels)
         return itertools.product(*vertices)
 
@@ -173,10 +176,13 @@ class CobwebPoset:
 
         A chain picks t distinct levels and one vertex on each, so the
         count is the elementary symmetric polynomial e_t of the level
-        sizes; t = 1 counts the vertices.
+        sizes; t = 1 counts the vertices, and none has more elements than
+        there are levels.
         """
         if t < 1:
             raise ValueError(f"chain length must be >= 1, got {t}")
+        if t > self.max_level + 1:
+            return 0
         e = [1] + [0] * t  # e[i] = e_i of the level sizes seen so far
         for size in self.level_sizes:
             for i in range(t, 0, -1):
@@ -210,13 +216,11 @@ class CobwebPoset:
         if size is None:
             size = total
             if len(sizes) <= self.max_level:  # levels left unread: size is a lower bound
-                raise EnumerationBudgetError(
-                    size * size, MATRIX_ENTRY_BUDGET, "matrix entries", at_least=True
-                )
+                raise BudgetError("matrix entries", size * size, MATRIX_ENTRY_BUDGET, at_least=True)
         elif not 0 <= size <= total:
             raise ValueError(f"size must be between 0 and {total + sum(unread)}, got {size}")
         if size * size > MATRIX_ENTRY_BUDGET:
-            raise EnumerationBudgetError(size * size, MATRIX_ENTRY_BUDGET, "matrix entries")
+            raise BudgetError("matrix entries", size * size, MATRIX_ENTRY_BUDGET)
         starts = itertools.accumulate(sizes, initial=0)
         bounds = [s for s in starts if s < size] + [size]  # each level's rows in the block
         sizes = sizes[:len(bounds) - 1]  # levels 0 .. top

@@ -89,7 +89,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn
 
-from .poset import CobwebPoset, product_past
+from .poset import DEFAULT_ENUMERATION_BUDGET, BudgetError, CobwebPoset
 from .sequences import is_cobweb_admissible
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; .sequences at run time is a cycle
@@ -97,7 +97,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; .sequences at run time is a c
 
     from .sequences import AdmissibleSequence
 
-DEFAULT_UNIVERSE_BUDGET = 100_000
 DEFAULT_BLOCK_BUDGET = 1_000_000
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -120,21 +119,6 @@ _DECODE = 128
 # Keys written out in binary at a time by _chain_bits, so that its strings
 # take a few MB at most however many keys a root has.
 _CHUNK = 1 << 14
-
-
-class TilingBudgetError(RuntimeError):
-    """A build that would exceed a budget.
-
-    ``predicted`` is the exact size or, when ``at_least``, a lower bound
-    on it that already exceeds the budget (see product_past).
-    """
-
-    def __init__(self, kind: str, predicted: int, budget: int, at_least: bool = False):
-        self.kind = kind
-        self.predicted = predicted
-        self.budget = budget
-        size = f"at least {predicted}" if at_least else predicted
-        super().__init__(f"{kind} size {size} exceeds the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +189,8 @@ def build_instance(
     Budgets are checked against predicted sizes before anything is
     enumerated, so an oversized request fails fast, the universe first:
     the admissibility scan is quadratic in n.  The universe's level
-    sizes are read and multiplied only until they pass its budget, and a
-    refusal carries that running product as a lower bound.
+    sizes are read once, through CobwebPoset.span_sizes, and only until
+    their product passes its budget (DEFAULT_ENUMERATION_BUDGET by default).
     Each distinct size tuple is listed once and a key determines its
     subsets, so no two blocks are equal.  Sorting root 1's keys sorts its
     blocks by chain tuple, fixing the search order; the other roots
@@ -217,17 +201,14 @@ def build_instance(
     if sigma_policy not in SIGMA_POLICIES:
         raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}, got {sigma_policy!r}")
     if universe_budget is None:
-        universe_budget = DEFAULT_UNIVERSE_BUDGET
+        universe_budget = DEFAULT_ENUMERATION_BUDGET
     if block_budget is None:
         block_budget = DEFAULT_BLOCK_BUDGET
     if min(universe_budget, block_budget) < 0:
         raise ValueError(f"need budgets >= 0, got universe {universe_budget}, block {block_budget}")
 
-    poset = CobwebPoset(seq, n)  # a list that ends before n fails here, before any budget
-    universe_bound = product_past(poset.sizes(k, n), universe_budget)
-    if universe_bound > universe_budget:
-        raise TilingBudgetError("universe", universe_bound, universe_budget, at_least=True)
-    sizes = tuple(poset.sizes(k, n))
+    # A list that ends before n fails here, before any budget.
+    sizes = CobwebPoset(seq, n).span_sizes(k, n, universe_budget, "universe chains")
 
     verdict = is_cobweb_admissible(seq, n)
     if not verdict.admissible:
@@ -248,7 +229,7 @@ def build_instance(
         for st in size_tuples
     )
     if predicted_blocks > block_budget:
-        raise TilingBudgetError("candidate blocks", predicted_blocks, block_budget)
+        raise BudgetError("candidate blocks", predicted_blocks, block_budget)
 
     keys, fields = [], _key_fields(sizes[1:])  # root 1's blocks
     for st in size_tuples:

@@ -194,10 +194,7 @@ def test_whole_matrix_over_the_entry_budget_exits_3(capsys, which):
     # refusal comes before any row is built.
     code, out, err = run(capsys, which, "fib", "--levels", "18")
     assert (code, out) == (3, "")
-    assert err == (
-        "inconclusive: enumeration would visit 45765225 matrix entries,"
-        " over the budget of 20000000\n"
-    )
+    assert err == "inconclusive: 45765225 matrix entries exceed the budget of 20000000\n"
 
 
 @pytest.mark.parametrize("which", ["zeta", "mobius"])
@@ -566,6 +563,23 @@ def test_tile_universe_budget_before_admissibility(capsys, spec, k, n, code):
     assert run(capsys, "tile", spec, str(k), str(n))[:2] == (code, "")
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("chains nat --from 3 --to 3 --enumerate --budget 0", "3 chains exceed the budget of 0"),
+    ("chains nat --from 1 --to 8 --enumerate --budget 40319", "40320 chains exceed the budget of 40319"),
+    ("chains fib --from 0 --to 30000 --enumerate", "at least 2227680 chains exceed the budget of 100000"),
+    ("zeta fib --levels 18", "45765225 matrix entries exceed the budget of 20000000"),
+    ("mobius fib --levels 300000", "at least 45765225 matrix entries exceed the budget of 20000000"),
+    ("tile fib 0 3000", "at least 2227680 universe chains exceed the budget of 100000"),
+    ("tile nat 1 3 --universe-budget 5", "6 universe chains exceed the budget of 5"),
+    ("tile nat 1 3 --block-budget 3", "9 candidate blocks exceed the budget of 3"),
+])
+def test_every_refusal_prints_one_line_of_one_template(capsys, argv, err):
+    # A size is "at least" only when levels were left unread: every level
+    # of nat 1..8 and of the universe of nat 1 3 is multiplied before the
+    # refusal, so those sizes are exact.
+    assert run(capsys, *argv.split()) == (3, "", f"inconclusive: {err}\n")
+
+
 def test_tile_budget_error_exit_3(capsys):
     code, _, err = run(capsys, "tile", "gauss:2", "0", "9")
     assert code == 3
@@ -865,10 +879,7 @@ def test_whole_matrix_refusal_reads_only_the_levels_it_needs(capsys):
     # all 30001 level sizes first peaked at 81.6 MiB.
     code, out, err, peak = traced_run(capsys, "mobius", "fib", "--levels", "30000")
     assert (code, out) == (3, "")
-    assert err == (
-        "inconclusive: enumeration would visit at least 45765225 matrix entries,"
-        " over the budget of 20000000\n"
-    )
+    assert err == "inconclusive: at least 45765225 matrix entries exceed the budget of 20000000\n"
     assert peak < 4 * 2**20
 
 
@@ -912,8 +923,8 @@ def test_chain_count_reads_only_the_levels_it_multiplies():
     ("tile nat 1 3 --block-budget -1", "error: need budgets >= 0, got universe 100000, block -1\n"),
 ], ids=["budget", "universe-budget", "block-budget"])
 def test_negative_budgets_are_domain_errors(capsys, argv, err):
-    # A budget below 0 is a bad request (1), not a refusal "at least 1 ...
-    # over the budget of -1" (3).
+    # A budget below 0 is a bad request (1), not a refusal "... exceed the
+    # budget of -1" (3).
     assert run(capsys, *argv.split()) == (1, "", err)
 
 

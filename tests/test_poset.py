@@ -8,11 +8,13 @@ import itertools
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobweb import (
+    BudgetError,
     CobwebPoset,
     DEFAULT_ENUMERATION_BUDGET,
-    EnumerationBudgetError,
     parse_sequence,
 )
 from oracles import chains_of_length, cover_successors, invert_unit_upper, leading, leq, mat_mul
@@ -192,9 +194,9 @@ def test_matrix_entry_budget(monkeypatch):
     monkeypatch.setattr("cobweb.poset.MATRIX_ENTRY_BUDGET", 16)
     p = poset("nat", 3)  # 7 vertices
     assert len(p.mobius_matrix(4).rows) == 4
-    with pytest.raises(EnumerationBudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         p.zeta_matrix()
-    assert (info.value.predicted, info.value.budget) == (49, 16)
+    assert (info.value.unit, info.value.predicted, info.value.budget) == ("matrix entries", 49, 16)
 
 
 def test_count_max_chains_product():
@@ -228,7 +230,7 @@ def test_enumerate_chains_are_saturated_and_sorted():
 def test_enumeration_budget():
     p = poset("gauss:2", 7)
     assert p.count_max_chains(0, 7) == 78129765
-    with pytest.raises(EnumerationBudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         next(p.enumerate_max_chains(0, 7))
     # The refusal carries the running product at the first level past the
     # budget: levels 0..6 of 2^p - 1 vertices (level 0 holds the root).
@@ -236,9 +238,51 @@ def test_enumeration_budget():
     bound = next(x for x in itertools.accumulate(sizes, operator.mul) if x > DEFAULT_ENUMERATION_BUDGET)
     assert info.value.predicted == bound == 615195
     assert info.value.budget == DEFAULT_ENUMERATION_BUDGET
-    assert "at least 615195 chains" in str(info.value)
+    assert str(info.value) == "at least 615195 chains exceed the budget of 100000"
     # an explicit budget admits the run; the span below stays tiny
     assert len(list(p.enumerate_max_chains(0, 2, budget=10))) == 3
+
+
+BUILT_IN_SPECS = ["nat", "fib", "even1", "odd", "div3", "const:1", "const:3", "gauss:2", "gauss:3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from(BUILT_IN_SPECS),
+    lo=st.integers(0, 12),
+    width=st.integers(0, 12),
+    budget=st.integers(0, 10**6) | st.integers(0, 40),
+    unit=st.sampled_from(["chains", "matrix entries", "universe chains", "candidate blocks"]),
+)
+def test_span_sizes_reads_up_to_the_first_product_past_the_budget(spec, lo, width, budget, unit):
+    """span_sizes returns the sizes iff their product fits the budget;
+    otherwise it refuses with the first running product past it, at least
+    exactly when levels were left unread, and reads no level beyond."""
+    seq = parse_sequence(spec)
+    hi = lo + width
+    sizes = [1 if p == 0 else seq.value(p) for p in range(lo, hi + 1)]
+    run, read = seq.run, []
+
+    def spy(a, b):
+        for value in run(a, b):
+            read.append(value)
+            yield value
+
+    seq.run = spy
+    p = CobwebPoset(seq, hi)
+    products = list(itertools.accumulate(sizes, operator.mul))
+    if products[-1] <= budget:
+        assert p.span_sizes(lo, hi, budget, unit) == tuple(sizes)
+        assert len(read) == len(sizes)
+        return
+    first = next(i for i, x in enumerate(products) if x > budget)
+    with pytest.raises(BudgetError) as info:
+        p.span_sizes(lo, hi, budget, unit)
+    err = info.value
+    left_unread = first < width
+    assert (err.unit, err.predicted, err.budget, err.at_least) == (unit, products[first], budget, left_unread)
+    assert len(read) == first + 1
+    assert str(err) == f"{'at least ' * left_unread}{products[first]} {unit} exceed the budget of {budget}"
 
 
 def test_span_validation():
@@ -264,6 +308,7 @@ def test_chains_of_length_edges():
     assert p.count_chains_of_length(1) == p.vertex_count
     assert p.count_chains_of_length(3) == 2  # root -> (1,1) -> one of level 2
     assert p.count_chains_of_length(4) == 0
+    assert p.count_chains_of_length(10**9) == 0  # more elements than levels: no work, no list
     with pytest.raises(ValueError):
         p.count_chains_of_length(0)
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import oracles
 from cobweb import tiling
 from cobweb import (
-    TilingBudgetError,
+    BudgetError,
     TilingCountResult,
     TilingSearchResult,
     build_instance,
@@ -141,7 +141,7 @@ def test_distinct_size_tuples_build_the_same_instances(monkeypatch):
             for k in range(n):
                 try:
                     built[spec, k, n] = build_instance(seq, k, n, block_budget=50_000)
-                except TilingBudgetError:
+                except BudgetError:
                     pass
                 except ValueError:
                     continue
@@ -262,9 +262,9 @@ def test_a_child_error_is_raised_as_its_built_in_type():
     """A child's exception comes back as its type name and message: a
     built-in type is raised again, any other as a RuntimeError naming it."""
     assert type(tiling._child_error(3, "MemoryError", "")) is MemoryError
-    err = tiling._child_error(3, "TilingBudgetError", "over")
+    err = tiling._child_error(3, "BudgetError", "over")
     assert (type(err), str(err)) == (
-        RuntimeError, "TilingBudgetError in the process searching root branch 3: over")
+        RuntimeError, "BudgetError in the process searching root branch 3: over")
     # A built-in that a message alone cannot make.
     assert type(tiling._child_error(3, "UnicodeDecodeError", "bad byte")) is RuntimeError
 
@@ -449,7 +449,7 @@ def test_block_order_and_tables_match_the_oracle():
                 for sigma in tiling.SIGMA_POLICIES:
                     try:
                         inst = build_instance(seq, k, n, sigma, block_budget=20_000)
-                    except (TilingBudgetError, ValueError):
+                    except (BudgetError, ValueError):
                         continue
                     compared += 1
                     expected = oracle_blocks(inst, inst.level_sizes[0])
@@ -551,7 +551,7 @@ def built_grid(max_blocks):
                 for sigma in tiling.SIGMA_POLICIES:
                     try:
                         yield build_instance(seq, k, n, sigma, block_budget=max_blocks)
-                    except (TilingBudgetError, ValueError):
+                    except (BudgetError, ValueError):
                         pass
 
 
@@ -731,7 +731,7 @@ def test_counts_match_brute_force(spec, k, n, sigma):
     assume(k < n)
     try:
         inst = build_instance(parse_sequence(spec), k, n, sigma, universe_budget=24)
-    except (TilingBudgetError, ValueError):
+    except (BudgetError, ValueError):
         assume(False)
     copy = instance_from_json(instance_to_json(inst))
     dropped = dataclasses.replace(
@@ -891,7 +891,7 @@ def test_memo_replays_the_reference_search(spec, k, n, sigma, node_budget, cap):
     assume(k < n)
     try:
         inst = build_instance(parse_sequence(spec), k, n, sigma, universe_budget=24)
-    except (TilingBudgetError, ValueError):
+    except (BudgetError, ValueError):
         assume(False)
     assert_reference_results(plain(inst), cap, node_budget)
 
@@ -975,15 +975,15 @@ def test_node_budget_below_the_root_branches_stops_at_the_root():
 
 def test_universe_budget_exact_prediction():
     g2 = parse_sequence("gauss:2")
-    with pytest.raises(TilingBudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         build_instance(g2, 0, 9)
     # The refusal carries the running product at the first level past the
     # budget, a lower bound on the whole universe.
     sizes = [1] + [2**p - 1 for p in range(1, 10)]
     bound = next(x for x in itertools.accumulate(sizes, operator.mul) if x > info.value.budget)
-    assert info.value.kind == "universe"
+    assert info.value.unit == "universe chains"
     assert info.value.predicted == bound == 615195 < math.prod(sizes)
-    assert "at least 615195" in str(info.value)
+    assert str(info.value) == "at least 615195 universe chains exceed the budget of 100000"
 
 
 def test_universe_budget_comes_before_the_admissibility_scan(monkeypatch):
@@ -992,17 +992,18 @@ def test_universe_budget_comes_before_the_admissibility_scan(monkeypatch):
         raise AssertionError("the admissibility scan ran before the universe budget")
 
     monkeypatch.setattr(tiling, "is_cobweb_admissible", no_scan)
-    with pytest.raises(TilingBudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         build_instance(parse_sequence("fib"), 600, 601)
-    assert info.value.kind == "universe"
+    assert info.value.unit == "universe chains"
 
 
 def test_block_budget():
     fib = parse_sequence("fib")
-    with pytest.raises(TilingBudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         build_instance(fib, 1, 4, block_budget=5)
-    assert info.value.kind == "candidate blocks"
+    assert info.value.unit == "candidate blocks"
     assert info.value.predicted == 9  # 6 + 3 product sets before deduplication
+    assert str(info.value) == "9 candidate blocks exceed the budget of 5"
 
 
 def test_verify_partition():
