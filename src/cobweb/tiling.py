@@ -21,13 +21,15 @@ also keeps the number of live blocks through each chain.  Selecting a
 block kills the live blocks that meet it, the live set ANDed with the
 OR of the block's chain bitsets.  The live counts are then recounted
 by popcounts or decremented over the killed blocks' chains, whichever
-is charged less, a killed block whose chains were never read being
-charged their decoding from its key too (the rule is in _ExactCover).
-A trail undoes either when the search backtracks.  Each node branches
-on the uncovered chain with the fewest live blocks, the lowest chain
-index winning ties, and tries its blocks in ascending index.  The
-search runs on an explicit stack, so its depth (blocks per partition)
-is bounded by memory, not by the interpreter's recursion limit.  One
+is charged less: it recounts exactly when killed * block_size + unread
+* (_DECODE + block_size) > recount, unread being the killed blocks not
+yet decoded from their keys (the charges are in _ExactCover).  One
+trail undoes either, and the selection, when the search backtracks.
+Each node branches on the uncovered chain with the fewest live blocks,
+the lowest chain index winning ties, and tries its blocks in ascending
+index.  The search runs on an explicit stack, so its depth (blocks per
+partition) is bounded by memory, not by the interpreter's recursion
+limit.  One
 search answers every query: it counts covers up to an optional cap and
 keeps the first one as the witness, and existence is a count capped at
 one.  Budgets turn oversized work into an explicit "inconclusive"
@@ -108,7 +110,7 @@ SIGMA_POLICIES = ("identity", "all")
 _MEMO_BYTES = 1 << 23
 _MEMO_ENTRY_BYTES = 200
 
-# The charge of a block's first decode (_Chains.__missing__) in the
+# The charge of a block's first decode (_ExactCover.__missing__) in the
 # select rule's decrements (see _ExactCover), on top of one per chain.
 # A decode takes 2.7 us for a block of 3 chains, 7.2 us at 30 and 19.5 us
 # at 120 (CPython 3.11 on x86-64).  Against each root's recount, that is
@@ -330,20 +332,6 @@ class _LazyBlocks(Sequence):
         return hash(tuple(self))
 
 
-class _Chains(dict):
-    """Block number -> chain numbers within one root, made from its key on first use."""
-
-    def __init__(self, level_sizes: tuple[int, ...], keys: list[int]):
-        self.level_sizes, self.block_keys = level_sizes, keys
-        self.fields = _key_fields(level_sizes[1:])
-        self.undecoded = (1 << len(keys)) - 1  # the blocks not yet made, as a bitset
-
-    def __missing__(self, q: int) -> tuple[int, ...]:
-        self[q] = chains = _members(self.level_sizes, 1, _subsets(self.block_keys[q], self.fields))
-        self.undecoded ^= 1 << q
-        return chains
-
-
 def _chain_bits(keys: list[int], fields: list[tuple[int, int, int]]) -> list[int]:
     """Each chain's bitset over one root's blocks, bit q for keys[q] (see the module docstring).
 
@@ -367,67 +355,79 @@ def _chain_bits(keys: list[int], fields: list[tuple[int, int, int]]) -> list[int
 
 # --- exact cover search ------------------------------------------------------
 
-def _roots(instance: TilingInstance) -> list[tuple[Sequence[int], list[int]]]:
-    """The roots to search, each as its blocks' indices, ascending, and their keys.
+def _roots(instance: TilingInstance) -> list[tuple[Sequence[int], _ExactCover]]:
+    """The roots to search, each as its blocks' indices, ascending, and its tables.
 
     A built instance's root 1 stands for every root (see the module
     docstring); tuple blocks are grouped by their roots.
     """
     blocks = instance.blocks
     if isinstance(blocks, _LazyBlocks):
-        return [(range(len(blocks.keys)), blocks.keys)]
-    fields = _key_fields(instance.level_sizes[1:])
-    roots: list[tuple[list[int], list[int]]] = [([], []) for _ in range(instance.level_sizes[0])]
-    for b, block in enumerate(blocks):
-        indices, keys = roots[block.root - 1]
-        indices.append(b)
-        keys.append(sum(map(_term, fields, block.level_subsets)))
-    return roots
+        groups = [(range(len(blocks.keys)), blocks.keys)]
+    else:
+        fields = _key_fields(instance.level_sizes[1:])
+        groups = [([], []) for _ in range(instance.level_sizes[0])]
+        for b, block in enumerate(blocks):
+            indices, keys = groups[block.root - 1]
+            indices.append(b)
+            keys.append(sum(map(_term, fields, block.level_subsets)))
+    sizes, block_size = instance.level_sizes, instance.block_size
+    return [(indices, _ExactCover(sizes, keys, block_size)) for indices, keys in groups]
 
 
-class _ExactCover:
+class _ExactCover(dict):
     """The search tables of one root, built once and shared by its branches.
 
     The root's blocks have the given keys, and a block's number is its
     place among them; its chains are numbered from 0 in index order.
+    As a dict, it maps a block's number to its chains, read off its key
+    on first use; ``undecoded`` is the bitset of the blocks not read yet.
     Each chain has an int bitset over the blocks through it.  A live
     block is one disjoint from the partial cover: ``alive`` is their
     bitset, and ``live`` the number of live blocks through each chain.
 
-    Selecting block b kills ``alive & conflict``, where the conflict is
-    the OR of the bitsets of b's chains, b included.  Then either
-    ``live`` is recounted, one popcount per chain, and the old list goes
-    on the trail, or the chains of the killed blocks are decremented,
-    and incremented again on backtracking.  Both leave the same list, and
-    the search takes the one charged less, the decrements including the
-    first decode of each killed block not decoded yet
-    (``block_chains.undecoded``).  So exists_partition decodes 38 of the
-    3710 blocks of gauss:2 2 4, where charging the decrements alone
-    decoded all of them, 8 of fib 1 6's (122) and 13 of gauss:3 1 3's
-    (225).  A covered chain's count is offset by ``covered``, a power of
-    two above every live count, so one ``min`` finds both the pivot and
-    a complete cover, and a recount keeps the offsets as
-    ``covered & count``.
+    Selecting block b kills ``kill = alive & conflict``, where the
+    conflict is the OR of the bitsets of b's chains, b included.  Then
+    either ``live`` is recounted, one popcount per chain, and the old
+    list goes on the trail, or the chains of the killed blocks are
+    decremented, and incremented again on backtracking.  Both leave the
+    same list.  The search recounts exactly when
+
+        killed * block_size + (kill & undecoded).bit_count() * decode > recount
+
+    for killed = kill.bit_count() and decode = _DECODE + block_size: the
+    decrements, one per chain of each killed block and the first decode
+    of each killed one not decoded yet, are charged more than a recount.
+    Once every block is decoded, that is killed > recount // block_size.
+    So exists_partition decodes 38 of the 3710 blocks of gauss:2 2 4,
+    where charging the decrements alone decoded all of them, 8 of fib 1
+    6's (122) and 13 of gauss:3 1 3's (225).  A covered chain's count is
+    offset by ``covered``, a power of two above every live count, so one
+    ``min`` finds both the pivot and a complete cover, and a recount
+    keeps the offsets as ``covered & count``.
 
     Finished subtrees go to a memo shared by every branch, keyed by
     their covered-chain bitmask (see the module docstring).
     """
 
-    def __init__(self, instance: TilingInstance, keys: list[int]):
-        self.block_chains = _Chains(instance.level_sizes, keys)
-        self.bits = _chain_bits(keys, self.block_chains.fields)
+    def __init__(self, level_sizes: tuple[int, ...], keys: list[int], block_size: int):
+        self.level_sizes, self.block_keys, self.block_size = level_sizes, keys, block_size
+        self.fields = _key_fields(level_sizes[1:])
+        self.undecoded = (1 << len(keys)) - 1
+        self.bits = _chain_bits(keys, self.fields)
         self.counts = list(map(int.bit_count, self.bits))
         # The charge of a recount, in decrements: it takes an AND and a
         # popcount per chain over the root's blocks, about one decrement's
-        # time per 512 blocks (CPython 3.11 on x86-64).  A select recounts
-        # when its decrements cost more: one per chain of each killed block,
-        # and _DECODE plus one per chain more for a killed block that is
-        # decoded first.
+        # time per 512 blocks (CPython 3.11 on x86-64).
         self.recount = len(self.bits) * (1 + len(keys) // 512)
-        self.block_size = instance.block_size
         # Covered-chain mask -> (nodes, covers) of the finished subtree below it.
         self.memo: dict[int, tuple[int, int]] = {}
         self.memo_limit = _MEMO_BYTES // (_MEMO_ENTRY_BYTES + len(self.bits) // 8)
+
+    def __missing__(self, q: int) -> tuple[int, ...]:
+        self[q] = chains = _members(self.level_sizes, 1, _subsets(self.block_keys[q], self.fields))
+        self.undecoded ^= 1 << q
+        return chains
 
     def root_branches(self) -> tuple[int, ...]:
         """The blocks through the root pivot: the first chain of fewest blocks."""
@@ -451,45 +451,36 @@ class _ExactCover:
         neither exhaust the budget, reach the cap nor find the witness;
         the result is then the one the walk would give.
         """
-        block_chains = self.block_chains
         bits = self.bits
         recount = self.recount
         block_size = self.block_size
-        most_killed = recount // block_size  # past it, recount with nothing to decode
         decode = _DECODE + block_size
-        # Read again while not 0: a decoded block never becomes undecoded.
-        undecoded = block_chains.undecoded
         memo = self.memo
         memo_limit = self.memo_limit
-        width = len(block_chains.block_keys)
+        width = len(self.block_keys)
         covered = 1 << width.bit_length()
         live = list(self.counts)
         alive = (1 << width) - 1
-        # Per selection: the blocks it killed as a bitset, the live counts
-        # before it if it recounted them, and the node count, cover count
-        # and covered-chain mask ``cov`` before it.  ``after`` is the mask
-        # once the next selection is made.
-        trail: list[tuple[int, list[int] | None, int, int, int]] = []
-        chosen: list[int] = []
+        # Per selection: the block selected, the blocks it killed as a
+        # bitset, the live counts before it if it recounted them, and the
+        # node count, cover count and covered-chain mask ``cov`` before
+        # it.  ``after`` is the mask once the next selection is made.
+        trail: list[tuple[int, int, list[int] | None, int, int, int]] = []
         frames = []  # per selection: an iterator over its node's untried options
         count = nodes = cov = 0
         witness = None
         b = first
-        after = sum(1 << c for c in block_chains[b])
+        after = sum(1 << c for c in self[b])
         while True:
             # Select b: kill every live block that meets it, b included.
-            chains = block_chains[b]
+            chains = self[b]
             conflict = 0
             for c in chains:
                 conflict |= bits[c]
             kill = alive & conflict
             alive ^= kill
             killed = kill.bit_count()
-            if killed > most_killed or undecoded and (
-                killed * block_size
-                + (kill & (undecoded := block_chains.undecoded)).bit_count() * decode
-                > recount
-            ):
+            if killed * block_size + (kill & self.undecoded).bit_count() * decode > recount:
                 # Recount every chain; the covered ones keep their offset.
                 saved, live = live, list(map(
                     operator.add,
@@ -499,13 +490,12 @@ class _ExactCover:
             else:
                 saved = None
                 for j in _ranks(kill, killed):
-                    for c in block_chains[j]:
+                    for c in self[j]:
                         live[c] -= 1
             for c in chains:
                 live[c] += covered
-            trail.append((kill, saved, nodes, count, cov))
+            trail.append((b, kill, saved, nodes, count, cov))
             cov = after
-            chosen.append(b)
 
             nodes += 1
             if nodes > budget:
@@ -517,7 +507,7 @@ class _ExactCover:
                 if low:  # every chain is covered
                     count += 1
                     if witness is None:
-                        witness = tuple(chosen)
+                        witness = tuple(entry[0] for entry in trail)
                     if cap is not None and count >= cap:
                         break
                 frames.append(iter(()))
@@ -529,22 +519,21 @@ class _ExactCover:
                     frames.pop()
                     if not frames:  # the root branch is done; its selection stays
                         return count, witness, False, nodes
-                    kill, saved, nodes0, count0, cov0 = trail.pop()
+                    b, kill, saved, nodes0, count0, cov0 = trail.pop()
                     alive |= kill
                     if saved is None:
                         for j in _ranks(kill, kill.bit_count()):
-                            for c in block_chains[j]:
+                            for c in self[j]:
                                 live[c] += 1
-                        for c in block_chains[chosen.pop()]:
+                        for c in self[b]:
                             live[c] -= covered
                     else:
-                        chosen.pop()
                         live = saved
                     if len(memo) < memo_limit:
                         memo[cov] = (nodes - nodes0, count - count0)
                     cov = cov0
                     continue
-                after = cov | sum(1 << c for c in block_chains[b])
+                after = cov | sum(1 << c for c in self[b])
                 sub = memo.get(after)
                 if (
                     sub is None
@@ -621,15 +610,14 @@ def _solve(
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
 
     roots = _roots(instance)
-    covers = [_ExactCover(instance, keys) for _, keys in roots]
-    branches = [cover.root_branches() for cover in covers]
+    branches = [cover.root_branches() for _, cover in roots]
     if not all(branches):
         return 0, None, False, 1
     per_branch = node_budget // sum(map(len, branches))
     if not per_branch:
         return 0, None, True, 1
     if isinstance(instance.blocks, _LazyBlocks):
-        branches[0], weights = _orbits(instance, branches[0])
+        branches[0], weights = _orbits(roots[0][1], branches[0])
         weights, power = [weights], instance.level_sizes[0]
     else:
         weights, power = [(1,) * len(bs) for bs in branches], 1
@@ -638,7 +626,7 @@ def _solve(
     elif jobs > 1:
         jobs = min(jobs, _cpu_count())
     total, witness, exhausted, nodes = 1, (), False, 1
-    for cover, (indices, _), bs, ws in zip(covers, roots, branches, weights):
+    for (indices, cover), bs, ws in zip(roots, branches, weights):
         target = None if cap is None else _least_root(-(-cap // total), power)
         caps = [None if target is None else -(-target // w) for w in ws]
         count, first, exhausted_r, nodes_r = _search_root(
@@ -752,7 +740,7 @@ def _child_error(branch: int, name: str, message: str) -> Exception:
     return RuntimeError(f"{name} in the process searching root branch {branch}: {message}")
 
 
-def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _orbits(cover: _ExactCover, branches) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lowest block of each size tuple among ``branches``, the blocks
     through chain 0, and how many blocks through chain 0 have that tuple.
 
@@ -763,11 +751,11 @@ def _orbits(instance: TilingInstance, branches) -> tuple[tuple[int, ...], tuple[
     any other, the blocks and the covers below them included.
     """
     lowest: dict[tuple[int, ...], int] = {}
-    keys, fields = instance.blocks.keys, instance.blocks.fields
+    keys = cover.block_keys
     for b in branches:
-        sizes = tuple(a - (keys[b] >> low & (1 << a) - 1).bit_count() for a, _, low in fields)
+        sizes = tuple(a - (keys[b] >> low & (1 << a) - 1).bit_count() for a, _, low in cover.fields)
         lowest.setdefault(sizes, b)
-    levels = instance.level_sizes[1:]
+    levels = cover.level_sizes[1:]
     weights = (math.prod(math.comb(a - 1, t - 1) for a, t in zip(levels, st)) for st in lowest)
     return tuple(lowest.values()), tuple(weights)
 
@@ -863,20 +851,24 @@ def instance_to_json(instance: TilingInstance) -> dict:
 def instance_from_json(doc: dict) -> TilingInstance:
     """Rebuild an instance, revalidating its fields, its chains and each block.
 
-    The sigma policy must be a known one and the level sizes must span
-    levels k..n.  The chain list must be the product of the level
-    ranges, and a block's root and subsets must be strictly ascending
-    entries of their levels, so that its chain indices are the
-    mixed-radix values of its chains; these must equal the block's chain
-    list.  A block's sizes are its subset lengths, every block has
+    The sigma policy must be a known one, 0 <= k < n as build_instance
+    asks, and the level sizes, each at least 1, must span levels k..n.
+    The chain list must be the product of the level ranges, and a
+    block's root and subsets must be strictly ascending entries of their
+    levels, so that its chain indices are the mixed-radix values of its
+    chains; these must equal the block's chain list.  A block's sizes are its subset lengths, every block has
     block_size chains, and no block appears twice.
     """
     policy = doc["sigma_policy"]
     if policy not in SIGMA_POLICIES:
         raise ValueError(f"sigma_policy must be one of {SIGMA_POLICIES}, got {policy!r}")
-    sizes = tuple(doc["level_sizes"])
-    if len(sizes) != doc["n"] - doc["k"] + 1:
-        raise ValueError(f"level sizes {sizes} do not span levels {doc['k']}..{doc['n']}")
+    sizes, k, n = tuple(doc["level_sizes"]), doc["k"], doc["n"]
+    if len(sizes) != n - k + 1:
+        raise ValueError(f"level sizes {sizes} do not span levels {k}..{n}")
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+    if min(sizes) < 1:
+        raise ValueError(f"level sizes must be >= 1, got {sizes}")
     if list(map(tuple, doc["chains"])) != list(itertools.product(*(range(1, s + 1) for s in sizes))):
         raise ValueError(f"chain list is not the product of the level ranges {sizes}")
     if doc["block_size"] < 1:
@@ -904,15 +896,7 @@ def instance_from_json(doc: dict) -> TilingInstance:
             raise ValueError(f"block {entry} appears twice")
         seen.add(members)
         blocks.append(Block(entry["root"], tuple(entry["sizes"]), subsets, members))
-    return TilingInstance(
-        sequence_spec=doc["sequence"],
-        k=doc["k"],
-        n=doc["n"],
-        sigma_policy=policy,
-        level_sizes=sizes,
-        block_size=doc["block_size"],
-        blocks=tuple(blocks),
-    )
+    return TilingInstance(doc["sequence"], k, n, policy, sizes, doc["block_size"], tuple(blocks))
 
 
 def witness_to_json(instance: TilingInstance, block_indices) -> dict:

@@ -5,6 +5,7 @@ first run and treated as regression values from then on.
 """
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -56,7 +57,7 @@ def plain(inst):
 
 def root_tables(inst):
     """The search tables of every root that inst's search walks."""
-    return [tiling._ExactCover(inst, keys) for _, keys in tiling._roots(inst)]
+    return [cover for _, cover in tiling._roots(inst)]
 
 
 def test_universe_and_block_shape():
@@ -243,7 +244,8 @@ def test_a_failed_branch_search_raises_in_the_caller(monkeypatch, failing):
     child's branch is the second."""
     monkeypatch.setattr(tiling, "_cpu_count", lambda: 2)
     inst = build_instance(parse_sequence("nat"), 1, 5)
-    branches = tiling._orbits(inst, tiling._ExactCover(inst, inst.blocks.keys).root_branches())[0]
+    (cover,) = root_tables(inst)
+    branches = tiling._orbits(cover, cover.root_branches())[0]
     bad = branches[0 if failing == "caller" else 1]
     real_search = tiling._ExactCover.search
 
@@ -340,10 +342,10 @@ def test_shared_memo_keeps_each_branch_result(spec, k, n):
     # the full universe among them; each branch still reports its own
     # first cover as its witness.
     inst = build_instance(parse_sequence(spec), k, n)
-    shared = tiling._ExactCover(inst, inst.blocks.keys)
+    (shared,) = root_tables(inst)
     for cap in (None, 3):
         for b in shared.root_branches():
-            fresh = tiling._ExactCover(inst, inst.blocks.keys)
+            (fresh,) = root_tables(inst)
             assert shared.search(b, 10**6, cap) == fresh.search(b, 10**6, cap)
 
 
@@ -364,7 +366,7 @@ def test_search_tables_are_per_root():
         tracemalloc.stop()
     assert peak < 10_000_000
     (cover,) = root_tables(inst)
-    assert (len(cover.block_chains.block_keys), len(cover.counts)) == (201, 201)
+    assert (len(cover.block_keys), len(cover.counts)) == (201, 201)
 
 
 def test_build_and_tables_memory_bound():
@@ -377,7 +379,7 @@ def test_build_and_tables_memory_bound():
     try:
         inst = build_instance(parse_sequence("gauss:2"), 3, 5)
         built = tracemalloc.get_traced_memory()[0]
-        cover = tiling._ExactCover(inst, inst.blocks.keys)
+        (cover,) = root_tables(inst)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -386,21 +388,27 @@ def test_build_and_tables_memory_bound():
     assert len(cover.counts) == 15 * 31  # levels 4 and 5 above a root
 
 
+@pytest.fixture
+def decoded(monkeypatch):
+    """The numbers of the blocks whose chains the search reads off their keys."""
+    numbers = []
+    missing = tiling._ExactCover.__missing__
+
+    def spy(cover, q):
+        numbers.append(q)
+        return missing(cover, q)
+
+    monkeypatch.setattr(tiling._ExactCover, "__missing__", spy)
+    return numbers
+
+
 @pytest.mark.parametrize(
     "spec, k, n, most", [("gauss:2", 2, 4, 38), ("fib", 1, 6, 8), ("gauss:3", 1, 3, 13)]
 )
-def test_existence_decodes_few_blocks(monkeypatch, spec, k, n, most):
+def test_existence_decodes_few_blocks(decoded, spec, k, n, most):
     """A select that would decode many killed blocks only to decrement
     their chains recounts instead.  Charged decrements alone, these
     searches decoded 3710 (all of root 1), 122 and 225 blocks."""
-    decoded = []
-    missing = tiling._Chains.__missing__
-
-    def spy(chains, q):
-        decoded.append(q)
-        return missing(chains, q)
-
-    monkeypatch.setattr(tiling._Chains, "__missing__", spy)
     inst = build_instance(parse_sequence(spec), k, n)
     result = exists_partition(inst)
     assert result.status == "yes" and verify_partition(inst, result.witness)
@@ -412,12 +420,52 @@ def test_undecoded_blocks_are_exact(spec, k, n):
     """``undecoded`` holds exactly the blocks whose chains were never made,
     whichever path made them."""
     (cover,) = root_tables(build_instance(parse_sequence(spec), k, n))
-    chains = cover.block_chains
-    everything = (1 << len(chains.block_keys)) - 1
-    assert chains.undecoded == everything
+    everything = (1 << len(cover.block_keys)) - 1
+    assert cover.undecoded == everything
     cover.search(cover.root_branches()[0], 2000, None)
-    assert chains
-    assert chains.undecoded == everything - sum(1 << q for q in chains)
+    assert cover
+    assert cover.undecoded == everything - sum(1 << q for q in cover)
+
+
+@pytest.mark.parametrize(
+    "spec, k, n, cap, node_budget, built, copy",
+    [
+        ("gauss:2", 2, 4, 1, None,
+         ("capped", 1, 36, "fb1bc2e08d19adb3", 38), ("capped", 1, 106, "fb1bc2e08d19adb3", 114)),
+        ("gauss:3", 1, 3, 1, None,
+         ("capped", 1, 14, "469b727993f2e632", 13), ("capped", 1, 14, "469b727993f2e632", 13)),
+        ("fib", 1, 6, 1, None,
+         ("capped", 1, 9, "bb272b5b0c7b454e", 8), ("capped", 1, 9, "bb272b5b0c7b454e", 8)),
+        ("nat", 2, 4, None, None,
+         ("exact", 17424, 168, "d9bdf796807e4a4c", 27), ("exact", 17424, 839, "d9bdf796807e4a4c", 60)),
+        ("gauss:2", 1, 3, None, None,
+         ("exact", 7036, 3217, "9c69fa896e451c2c", 98), ("exact", 7036, 15733, "9c69fa896e451c2c", 112)),
+        ("nat", 1, 5, None, None,
+         ("exact", 386, 490, "6091166584c24e9f", 187), ("exact", 386, 1536, "6091166584c24e9f", 375)),
+        ("fib", 1, 5, None, None,
+         ("exact", 136, 200, "bd8087ea02221f52", 76), ("exact", 136, 544, "bd8087ea02221f52", 115)),
+        ("nat", 2, 5, None, 20000,
+         ("inconclusive", 2750**2, 2185, "522fbb4a24802c0d", 354),
+         ("inconclusive", 1436**2, 20021, "522fbb4a24802c0d", 1072)),
+        ("nat", 40, 41, 1, None,
+         ("capped", 1, 42, "029e2885c7845fb3", 41), ("capped", 1, 1641, "029e2885c7845fb3", 1640)),
+    ],
+)
+def test_engine_pins(monkeypatch, decoded, spec, k, n, cap, node_budget, built, copy):
+    """The tiling benchmark's searches, on the built instance and on its
+    tuple copy: status, count, nodes, the witness (the first 16 hex digits
+    of the SHA-256 of its repr) and the number of blocks decoded, exactly.
+    Two processes give the serial result."""
+    monkeypatch.setattr(tiling, "_cpu_count", lambda: 2)  # forks on one CPU too
+    inst = build_instance(parse_sequence(spec), k, n)
+    for case, pins in ((inst, built), (plain(inst), copy)):
+        del decoded[:]
+        result = count_partitions(case, cap, 1, node_budget)
+        digest = hashlib.sha256(repr(result.witness).encode()).hexdigest()[:16]
+        assert (result.status, result.count, result.nodes, digest, len(decoded)) == pins
+        assert verify_partition(case, result.witness)
+        assert count_partitions(case, cap, 2, node_budget) == result
+    assert_no_child_left()
 
 
 # --- block order and tables against the oracle --------------------------------
@@ -456,9 +504,7 @@ def test_block_order_and_tables_match_the_oracle():
                     assert [(b.root, b.level_subsets, b.chains) for b in inst.blocks] == expected
                     bits = oracles.chain_bitsets(inst.level_sizes, [(r, c) for r, _, c in expected])
                     span = inst.universe_size // inst.level_sizes[0]
-                    assert tiling._ExactCover(inst, inst.blocks.keys).bits == [
-                        bits[c] for c in range(span)
-                    ]
+                    assert table_bits(inst) == [bits[c] for c in range(span)]
                     assert table_bits(plain(inst)) == list(bits.values())
     assert compared == 250
 
@@ -478,8 +524,8 @@ def test_large_block_order_and_tables_match_the_oracle(spec, k, n):
     root_1 = [(1, chains) for _, _, chains in expected]
     bits = oracles.chain_bitsets((1,) + inst.level_sizes[1:], root_1, wanted)
     del expected, root_1  # not held with the tables, to keep the peak down
-    cover_bits = tiling._ExactCover(inst, inst.blocks.keys).bits
-    assert {c: cover_bits[c] for c in wanted} == bits
+    (cover,) = root_tables(inst)
+    assert {c: cover.bits[c] for c in wanted} == bits
 
 
 def test_tables_of_loaded_blocks_out_of_root_order():
@@ -530,11 +576,11 @@ def test_lazy_blocks_behave_as_their_tuple():
     again = pickle.loads(pickle.dumps(inst))
     assert again == inst and isinstance(again.blocks, tiling._LazyBlocks)
     assert count_partitions(again) == count_partitions(inst)
-    cover = tiling._ExactCover(inst, blocks.keys)
+    (cover,) = root_tables(inst)
     first, *rest = cover.root_branches()
     cover.search(first, 10**6, None)  # fills some chains and the memo
     cover = pickle.loads(pickle.dumps(cover))
-    fresh = tiling._ExactCover(inst, blocks.keys)
+    (fresh,) = root_tables(inst)
     fresh.search(first, 10**6, None)
     for b in rest:
         assert cover.search(b, 10**6, None) == fresh.search(b, 10**6, None)
@@ -619,7 +665,8 @@ def test_orbit_sizes_at_the_root():
     prod C(a_i - 1, t_i - 1); the lowest of each is its representative,
     and the orbit sizes add up to the plain search's root branches."""
     for inst in built_grid(3000):
-        branches = tiling._ExactCover(inst, inst.blocks.keys).root_branches()
+        (cover,) = root_tables(inst)
+        branches = cover.root_branches()
         assert all(inst.blocks[b].chains[0] == 0 for b in branches)  # the pivot is chain 0
         orbits = {}
         for b in branches:
@@ -628,7 +675,7 @@ def test_orbit_sizes_at_the_root():
             assert len(blocks) == math.prod(
                 math.comb(a - 1, t_i - 1) for a, t_i in zip(inst.level_sizes[1:], t)
             )
-        representatives, weights = tiling._orbits(inst, branches)
+        representatives, weights = tiling._orbits(cover, branches)
         assert representatives == tuple(min(blocks) for blocks in orbits.values())
         assert weights == tuple(map(len, orbits.values()))
         assert sum(weights) == len(branches)
@@ -767,7 +814,7 @@ def test_a_root_without_a_cover_ends_the_search(monkeypatch):
     result = exists_partition(inst)
     assert result.status == "no" and result.witness is None
     assert len(set(map(id, searched))) == 1
-    assert len(searched[0].block_chains.block_keys) == 12
+    assert len(searched[0].block_keys) == 12
     assert count_partitions(inst) == TilingCountResult("exact", 0, result.nodes, None)
     assert brute_force_count(inst) == 0
     assert_reference_results(inst, None, 10**6)
@@ -1136,6 +1183,26 @@ def test_block_entries_must_lie_in_their_levels(root, subsets, chains, match):
 def test_instance_fields_must_agree_with_the_blocks(edit, match):
     doc = instance_to_json(build_instance(parse_sequence("nat"), 1, 3))
     edit(doc)
+    with pytest.raises(ValueError, match=match):
+        instance_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "k, n, sizes, match",
+    [
+        (1, 2, [0, 1], "level sizes must be >= 1"),  # no roots: a budget shared by 0 branches
+        (1, 2, [1, 0], "level sizes must be >= 1"),  # a root of no chains, the min of none
+        (1, 2, [-1, 2], "level sizes must be >= 1"),  # a universe of -2 chains
+        (1, 0, [], "need 0 <= k < n, got k=1, n=0"),  # no level k to hold a root
+    ],
+)
+def test_instance_levels_must_be_searchable(k, n, sizes, match):
+    """Each of these documents agrees with itself, but no search can run
+    over its levels; loaded, count_partitions raised ZeroDivisionError,
+    ValueError, ZeroDivisionError and IndexError."""
+    chains = [list(c) for c in itertools.product(*(range(1, s + 1) for s in sizes))]
+    doc = {"sequence": "nat", "k": k, "n": n, "sigma_policy": "all", "level_sizes": sizes,
+           "block_size": 1, "chains": chains, "blocks": []}
     with pytest.raises(ValueError, match=match):
         instance_from_json(doc)
 
